@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hn import HNType, dim_hn_stratum
+from .hn import HNRun, HNType, hn_runs
 from .lattice import (
     MukaiVector,
     Surface,
     euler_characteristic,
     h0_line_bundle,
     mukai_pairing,
-    second_chern,
 )
 from .torsion_free import DEFAULT_THRESHOLD, dim_mss, mss_nonempty
 
@@ -45,9 +44,11 @@ __all__ = [
     "BNInput",
     "BNComponent",
     "BNReport",
+    "BNRuns",
     "DimensionCheck",
     "bn_mukai_vector",
     "exceptional",
+    "bn_runs",
     "classify_bn",
     "bn_component_dimension_identities",
 ]
@@ -111,6 +112,52 @@ def exceptional(s: Surface, v: MukaiVector) -> bool:
     return s.h_squared == 2 and v == MukaiVector(2, 3, 5)
 
 
+@dataclass(frozen=True, slots=True)
+class BNRuns:
+    """The classification of W before its alpha components are listed.
+
+    Each alpha run is already cut by the quotient cap and the threshold, and
+    every component it stands for has dimension run.dimension + chi.
+    `beta_dimension` is None when there is no beta component.
+    """
+
+    verdict: str
+    hilb_dimension: int
+    mukai_vector: MukaiVector
+    exceptional_case: bool
+    chi: int
+    beta_dimension: int | None
+    alpha_runs: tuple[HNRun, ...]
+
+
+def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
+    """Classify W per sub-degree m, in O(n) whatever the number of components."""
+    s = inp.surface
+    n = inp.n
+    v = bn_mukai_vector(inp)
+    hilb_dim = 2 * inp.length
+    is_exc = exceptional(s, v)
+    chi = euler_characteristic(v)
+    if inp.length > h0_line_bundle(s, n):
+        return BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, chi, None, ())
+    beta = None
+    if n >= 1 and mss_nonempty(s, v) and not is_exc:
+        beta = dim_mss(s, v) + chi
+    alphas: list[HNRun] = []
+    # m <= n - 1 keeps the quotient twist n - m >= 1
+    for run in hn_runs(s, v, n - 1):
+        if run.pairing > threshold:
+            continue
+        q = n - run.m
+        # a(quotient) > -1 caps the quotient length, a lower bound on ell1
+        quot_cap = (q * q * s.h_squared) // 2 + 1
+        lo = max(run.ell1_lo, run.budget - quot_cap)
+        if lo <= run.ell1_hi:
+            alphas.append(HNRun(run.m, lo, run.ell1_hi, run.pairing, run.dimension))
+    verdict = VERDICT_COMPONENTS if beta is not None or alphas else VERDICT_EMPTY
+    return BNRuns(verdict, hilb_dim, v, is_exc, chi, beta, tuple(alphas))
+
+
 def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
     """Classify the components of W inside Hilb^length, exactly.
 
@@ -118,42 +165,19 @@ def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
     unlike the torsion-free classifier no m_max is needed; the output is
     complete.  Components are listed beta first, then alphas by (m, ell1).
     """
-    s = inp.surface
-    n = inp.n
-    v = bn_mukai_vector(inp)
-    hilb_dim = 2 * inp.length
-    is_exc = exceptional(s, v)
-    if inp.length > h0_line_bundle(s, n):
-        return BNReport(VERDICT_WHOLE, hilb_dim, (), v, is_exc)
-    chi = euler_characteristic(v)
+    runs = bn_runs(inp, threshold)
+    s, v, hilb_dim = inp.surface, runs.mukai_vector, runs.hilb_dimension
     comps: list[BNComponent] = []
-    if n >= 1 and mss_nonempty(s, v) and not is_exc:
-        dim = dim_mss(s, v) + chi
+    if runs.beta_dimension is not None:
+        dim = runs.beta_dimension
         comps.append(BNComponent(None, dim, hilb_dim - dim, False, v))
-    c2 = second_chern(s, v)
-    for m in range(max(1, (n + 1) // 2), n):
-        budget = c2 - m * (n - m) * s.h_squared
-        if budget < 0:
-            continue
-        # a(quotient) > -1 bounds the quotient length
-        quot_cap = ((n - m) * (n - m) * s.h_squared) // 2 + 1
-        for ell1 in range(budget + 1):
-            ell2 = budget - ell1
-            if 2 * m == n and not ell1 < ell2:
-                continue
-            if ell2 > quot_cap:
-                continue
-            t = HNType(s, v, m, ell1, ell2)
-            pairing = t.sub_quotient_pairing()
-            if pairing > threshold:
-                continue
-            dim = dim_hn_stratum(t) + chi
-            comps.append(
-                BNComponent(t, dim, hilb_dim - dim, pairing in (0, 1), v)
-            )
-    if comps:
-        return BNReport(VERDICT_COMPONENTS, hilb_dim, tuple(comps), v, is_exc)
-    return BNReport(VERDICT_EMPTY, hilb_dim, (), v, is_exc)
+    for run in runs.alpha_runs:
+        dim = run.dimension + runs.chi
+        sensitive = run.pairing in (0, 1)
+        comps.extend(
+            BNComponent(t, dim, hilb_dim - dim, sensitive, v) for t in run.types(s, v)
+        )
+    return BNReport(runs.verdict, hilb_dim, tuple(comps), v, runs.exceptional_case)
 
 
 @dataclass(frozen=True, slots=True)

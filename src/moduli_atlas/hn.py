@@ -14,10 +14,30 @@ ell_i = len(Z_i).  Validity of a triple:
 
 The union over all m of the strata with fixed sub-degree m is infinite, so
 every enumeration here takes an explicit window m <= m_max.
+
+Per-m runs.  Fix m, put q = n - m and b = c2(v) - m*q*H.H, the length
+budget.  The sub and quotient have vectors
+
+    v1 = (1, m, m^2*H.H/2 - ell1 + 1),    v2 = (1, q, q^2*H.H/2 - ell2 + 1),
+
+so a(v1) + a(v2) = (m^2 + q^2)*H.H/2 - b + 2 and
+
+    <v1, v2> = m*q*H.H - a(v1) - a(v2) = c2(v) - 2 - (m^2 + q^2)*H.H/2,
+    <vi, vi> = 2*ell_i - 2,
+
+which makes the stratum dimension <v1,v1> + <v2,v2> + <v1,v2> + 2 equal to
+2*b - 2 + <v1, v2>.  Neither the pairing nor the dimension depends on ell1,
+so all types of one m form a run of consecutive ell1 with one pairing and
+one dimension (`HNRun`, built by `hn_runs`).  The cuts on a type become
+bounds on ell1: the length budget gives 0 <= ell1 <= b, the equal-slope
+order ell1 < ell2 gives ell1 <= (b - 1)/2, and the Brill-Noether quotient
+cap ell2 <= cap gives ell1 >= b - cap.  Classifiers therefore work per m and
+only list types when they must report them one by one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .lattice import (
@@ -30,8 +50,10 @@ from .lattice import (
 
 __all__ = [
     "HNType",
+    "HNRun",
     "SEMISTABLE",
     "make_hn_type",
+    "hn_runs",
     "enumerate_hn_types",
     "dim_hn_stratum",
     "dim_hn_closed_form",
@@ -60,6 +82,32 @@ class HNType:
 
     def triple(self) -> tuple[int, int, int]:
         return (self.m, self.ell1, self.ell2)
+
+
+@dataclass(frozen=True, slots=True)
+class HNRun:
+    """The types (m, ell1, budget - ell1) of one m, for ell1_lo <= ell1 <= ell1_hi.
+
+    `pairing` (sub/quotient) and `dimension` (of the stratum) are shared by
+    every type of the run; see the module docstring.
+    """
+
+    m: int
+    ell1_lo: int
+    ell1_hi: int
+    pairing: int
+    dimension: int
+
+    @property
+    def budget(self) -> int:
+        """ell1 + ell2, solved from dimension = 2*budget - 2 + pairing."""
+        return (self.dimension + 2 - self.pairing) // 2
+
+    def types(self, s: Surface, v: MukaiVector) -> Iterator[HNType]:
+        """The run's types on v, in increasing ell1."""
+        budget = self.budget
+        for ell1 in range(self.ell1_lo, self.ell1_hi + 1):
+            yield HNType(s, v, self.m, ell1, budget - ell1)
 
 
 class _SemistablePolygon:
@@ -99,30 +147,37 @@ def make_hn_type(s: Surface, v: MukaiVector, m: int, ell1: int) -> HNType:
     return HNType(s, v, m, ell1, ell2)
 
 
-def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:
-    """All valid types on v with m <= m_max, sorted by (m, ell1).
+def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[HNRun]:
+    """The nonempty runs of valid types on v, one per m in ceil(n/2) <= m <= m_max.
 
-    Deterministic, duplicate-free, and monotone in the window: the list for a
-    smaller m_max is a prefix of the list for a larger one.
+    This is where the per-m pairing and dimension are computed; expanding
+    the runs in order gives enumerate_hn_types(s, v, m_max).
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
     n = v.deg
     c2 = second_chern(s, v)
     h2 = s.h_squared
-    out: list[HNType] = []
+    out: list[HNRun] = []
     for m in range((n + 1) // 2, m_max + 1):
-        budget = c2 - m * (n - m) * h2
-        if budget < 0:
+        q = n - m
+        budget = c2 - m * q * h2
+        # equal slope: only splits with ell1 < ell2
+        top = (budget - 1) // 2 if m == q else budget
+        if top < 0:
             continue
-        if 2 * m == n:
-            # equal slope: only splits with ell1 < ell2
-            top = (budget - 1) // 2
-        else:
-            top = budget
-        for ell1 in range(top + 1):
-            out.append(HNType(s, v, m, ell1, budget - ell1))
+        pairing = c2 - 2 - ((m * m + q * q) * h2) // 2
+        out.append(HNRun(m, 0, top, pairing, 2 * budget - 2 + pairing))
     return out
+
+
+def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:
+    """All valid types on v with m <= m_max, sorted by (m, ell1).
+
+    Deterministic, duplicate-free, and monotone in the window: the list for a
+    smaller m_max is a prefix of the list for a larger one.
+    """
+    return [t for run in hn_runs(s, v, m_max) for t in run.types(s, v)]
 
 
 def dim_hn_stratum(t: HNType) -> int:

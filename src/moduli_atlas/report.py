@@ -16,6 +16,7 @@ from .brill_noether import (
     BNReport,
     VERDICT_COMPONENTS,
     VERDICT_WHOLE,
+    bn_runs,
 )
 from .lattice import MukaiVector, Surface
 from .torsion_free import TfComponent
@@ -293,26 +294,28 @@ def scan_rows(
     length_range: tuple[int, int],
     threshold: int,
 ) -> list[ScanRow]:
-    """One classification row per (n, N) over inclusive ranges, in row order."""
-    from .brill_noether import classify_bn  # local import keeps module load light
+    """One classification row per (n, N) over inclusive ranges, in row order.
 
+    Rows count the per-m runs of `bn_runs` and never list components, so a
+    row costs O(n) however many components its point has.
+    """
     if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
         raise ValueError("empty range")
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         for length in range(length_range[0], length_range[1] + 1):
-            rep = classify_bn(BNInput(s, n, length), threshold)
-            if rep.verdict == VERDICT_WHOLE:
+            runs = bn_runs(BNInput(s, n, length), threshold)
+            if runs.verdict == VERDICT_WHOLE:
                 alpha, beta = 0, False
-                lo = hi = rep.hilb_dimension
-            elif rep.verdict == VERDICT_COMPONENTS:
-                dims = [c.dimension for c in rep.components]
-                lo, hi = min(dims), max(dims)
-                alpha = sum(1 for c in rep.components if c.hn_type is not None)
-                beta = any(c.hn_type is None for c in rep.components)
+                lo = hi = runs.hilb_dimension
             else:
-                alpha, beta, lo, hi = 0, False, None, None
-            rows.append(ScanRow(s.h_squared, n, length, rep.verdict, alpha, beta, lo, hi, threshold))
+                alpha = sum(r.ell1_hi - r.ell1_lo + 1 for r in runs.alpha_runs)
+                beta = runs.beta_dimension is not None
+                dims = [r.dimension + runs.chi for r in runs.alpha_runs]
+                if beta:
+                    dims.append(runs.beta_dimension)
+                lo, hi = (min(dims), max(dims)) if dims else (None, None)
+            rows.append(ScanRow(s.h_squared, n, length, runs.verdict, alpha, beta, lo, hi, threshold))
     return rows
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hn import HNType, dim_hn_stratum, enumerate_hn_types
+from .hn import HNType, hn_runs
 from .lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
 
 __all__ = [
@@ -88,7 +88,7 @@ def classify_tf_components(
     out: list[TfComponent] = []
     if nonempty:
         out.append(TfComponent(None, dim_mss(s, v), False))
-    for t in enumerate_hn_types(s, v, m_max):
-        absorbed = nonempty and t.sub_quotient_pairing() > threshold
-        out.append(TfComponent(t, dim_hn_stratum(t), absorbed))
+    for run in hn_runs(s, v, m_max):
+        absorbed = nonempty and run.pairing > threshold
+        out.extend(TfComponent(t, run.dimension, absorbed) for t in run.types(s, v))
     return out

@@ -154,6 +154,19 @@ def test_scan_row_count_and_stability(capsys, tmp_path):
     assert out_file.read_bytes() == first
 
 
+def test_scan_counts_millions_of_components_without_listing_them(capsys, tmp_path):
+    # 7.3M alpha components: listing them one by one takes more than 30 s
+    out_file = tmp_path / "t.csv"
+    code, _, _ = run(
+        capsys, "scan", "--h2", "2", "--n-range", "2000..2000",
+        "--N-range", "1000000..1000000", "--out", str(out_file),
+    )
+    assert code == EXIT_OK
+    assert out_file.read_text().splitlines()[1] == (
+        "2,2000,1000000,components,7303569,false,1002528,1996002,1"
+    )
+
+
 def test_scan_json_validates_against_schema(capsys, tmp_path):
     from importlib import resources
 
@@ -243,11 +256,19 @@ def test_verify_single_threshold(capsys):
 
 
 def test_verify_reports_discrepancies(capsys, monkeypatch):
+    import dataclasses
+
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    honest = hn.dim_hn_stratum
-    monkeypatch.setattr(bn, "dim_hn_stratum", lambda t: honest(t) + 1)
+    honest = hn.hn_runs
+    monkeypatch.setattr(
+        bn,
+        "hn_runs",
+        lambda s, v, m_max: [
+            dataclasses.replace(r, dimension=r.dimension + 1) for r in honest(s, v, m_max)
+        ],
+    )
     code, out, _ = run(
         capsys, "verify", "--h2", "2", "--n-range", "2..3", "--N-range", "4..8",
         "--threshold", "1",

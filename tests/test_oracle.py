@@ -73,12 +73,20 @@ def test_sweep_degenerate_grid_clean():
 
 
 def test_sweep_detects_seeded_fault(monkeypatch):
-    # corrupt the dimension formula the classifier resolves at call time
+    # corrupt the per-m run dimensions the classifier resolves at call time
+    import dataclasses
+
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    honest = hn.dim_hn_stratum
-    monkeypatch.setattr(bn, "dim_hn_stratum", lambda t: honest(t) + 1)
+    honest = hn.hn_runs
+    monkeypatch.setattr(
+        bn,
+        "hn_runs",
+        lambda s, v, m_max: [
+            dataclasses.replace(r, dimension=r.dimension + 1) for r in honest(s, v, m_max)
+        ],
+    )
     records = sweep(GridSpec((2,), (2, 3), (0, 8)), 1)
     assert records
     assert any(r.check == "bn_summary" for r in records)

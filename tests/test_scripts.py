@@ -1,0 +1,16 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_worked_cases_script_reports_no_drift(capsys):
+    assert load_script("worked_cases").main() == 0
+    assert "drifted" not in capsys.readouterr().err
