@@ -15,7 +15,6 @@ from .brill_noether import (
     VERDICT_COMPONENTS,
     VERDICT_EMPTY,
     VERDICT_WHOLE,
-    bn_component_dimension_identities,
     bn_mukai_vector,
     classify_bn,
     exceptional,
@@ -45,6 +44,7 @@ from .oracle import (
     BnSummary,
     Discrepancy,
     GridSpec,
+    bn_component_dimension_identities,
     oracle_bn,
     oracle_enumerate,
     sweep,
@@ -92,12 +92,12 @@ __all__ = [
     "bn_mukai_vector",
     "exceptional",
     "classify_bn",
-    "bn_component_dimension_identities",
     "GridSpec",
     "DEFAULT_GRID",
     "BnSummary",
     "Discrepancy",
     "oracle_enumerate",
     "oracle_bn",
+    "bn_component_dimension_identities",
     "sweep",
 ]

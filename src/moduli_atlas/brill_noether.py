@@ -21,6 +21,9 @@ with that guard n = 0 always classifies as empty or as the whole scheme.
 The threshold defaults to 1; components whose sub/quotient pairing is 0 or 1
 exist under one reading of the inclusion bound but not the other, and carry a
 `threshold_sensitive` flag.
+
+The paper's closed-form component dimensions are not used here;
+`oracle.bn_component_dimension_identities` checks reports against them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .lattice import (
     Surface,
     euler_characteristic,
     h0_line_bundle,
-    mukai_pairing,
 )
 from .torsion_free import DEFAULT_THRESHOLD, dim_mss, mss_nonempty
 
@@ -45,12 +47,10 @@ __all__ = [
     "BNComponent",
     "BNReport",
     "BNRuns",
-    "DimensionCheck",
     "bn_mukai_vector",
     "exceptional",
     "bn_runs",
     "classify_bn",
-    "bn_component_dimension_identities",
 ]
 
 VERDICT_WHOLE = "whole_hilbert_scheme"
@@ -85,7 +85,6 @@ class BNComponent:
     dimension: int
     codimension: int
     threshold_sensitive: bool
-    mukai_vector: MukaiVector
 
     @property
     def kind(self) -> str:
@@ -170,59 +169,11 @@ def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
     comps: list[BNComponent] = []
     if runs.beta_dimension is not None:
         dim = runs.beta_dimension
-        comps.append(BNComponent(None, dim, hilb_dim - dim, False, v))
+        comps.append(BNComponent(None, dim, hilb_dim - dim, False))
     for run in runs.alpha_runs:
         dim = run.dimension + runs.chi
         sensitive = run.pairing in (0, 1)
         comps.extend(
-            BNComponent(t, dim, hilb_dim - dim, sensitive, v) for t in run.types(s, v)
+            BNComponent(t, dim, hilb_dim - dim, sensitive) for t in run.types(s, v)
         )
     return BNReport(runs.verdict, hilb_dim, tuple(comps), v, runs.exceptional_case)
-
-
-@dataclass(frozen=True, slots=True)
-class DimensionCheck:
-    """A component dimension against its closed form, where one applies."""
-
-    kind: str
-    triple: tuple[int, int, int] | None
-    dimension: int
-    closed_form: int | None
-    matches: bool
-
-
-def bn_component_dimension_identities(
-    inp: BNInput, threshold: int = DEFAULT_THRESHOLD
-) -> list[DimensionCheck]:
-    """Closed-form dimension predictions for every component of classify_bn.
-
-    Every alpha component has dimension 2*length - m*(n-m)*H.H, and the beta
-    component has dimension 3*length - 3 - n^2*H.H/2 whenever <v,v> > 0.
-    Raises ValueError when the verdict is not "components".
-    """
-    report = classify_bn(inp, threshold)
-    if report.verdict != VERDICT_COMPONENTS:
-        raise ValueError("no components to check")
-    s = inp.surface
-    n, length = inp.n, inp.length
-    v = report.mukai_vector
-    checks: list[DimensionCheck] = []
-    for comp in report.components:
-        if comp.hn_type is None:
-            if mukai_pairing(s, v, v) > 0:
-                predicted = 3 * length - 3 - (n * n * s.h_squared) // 2
-            else:
-                predicted = None
-        else:
-            m = comp.hn_type.m
-            predicted = 2 * length - m * (n - m) * s.h_squared
-        checks.append(
-            DimensionCheck(
-                comp.kind,
-                comp.hn_type.triple() if comp.hn_type is not None else None,
-                comp.dimension,
-                predicted,
-                predicted is None or predicted == comp.dimension,
-            )
-        )
-    return checks

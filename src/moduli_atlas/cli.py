@@ -39,7 +39,7 @@ EXIT_OVERFLOW = 3
 EXIT_IO = 4
 
 CONFIG_ENV = "MODULI_ATLAS_CONFIG"
-CONFIG_KEYS = {"h2", "format", "out_dir", "threshold", "m_max"}
+CONFIG_TYPES = {"h2": int, "format": str, "out_dir": str, "threshold": int, "m_max": int}
 
 
 def load_config() -> dict:
@@ -55,9 +55,14 @@ def load_config() -> dict:
         raise ValueError(f"invalid config file: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("invalid config file: expected a JSON object")
-    unknown = set(data) - CONFIG_KEYS
+    unknown = set(data) - set(CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        kind = CONFIG_TYPES[key]
+        # bool is a subclass of int, but true/false is no number
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
     return data
 
 
@@ -73,7 +78,7 @@ def _surface(args, config: dict) -> Surface:
     h2 = _setting(args.h2, config, "h2")
     if h2 is None:
         raise ValueError("missing --h2")
-    return Surface(int(h2))
+    return Surface(h2)
 
 
 def _vector(args, s: Surface) -> MukaiVector:
@@ -85,11 +90,11 @@ def _vector(args, s: Surface) -> MukaiVector:
 
 
 def _window(args, config: dict, deg: int) -> int:
-    return int(_setting(args.m_max, config, "m_max", (deg + 1) // 2 + 8))
+    return _setting(args.m_max, config, "m_max", (deg + 1) // 2 + 8)
 
 
 def _threshold(args, config: dict) -> int:
-    return int(_setting(args.threshold, config, "threshold", DEFAULT_THRESHOLD))
+    return _setting(args.threshold, config, "threshold", DEFAULT_THRESHOLD)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -97,12 +102,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise ValueError(f"invalid range {text!r}: expected A..B")
     try:
-        pair = (int(lo), int(hi))
+        return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"invalid range {text!r}: expected integers") from None
-    if pair[0] > pair[1]:
-        raise ValueError("empty range")
-    return pair
 
 
 def _render_record(record, fmt: str) -> str:

@@ -4,17 +4,18 @@
 arithmetic and brute-force scans, sharing only the lattice primitives with
 the main modules; they deliberately loop differently (quotient length major,
 and sub-degrees scanned from n - m_max upward) so a bug in one side cannot
-hide in the other.  `sweep` runs both sides over a grid and returns every
-disagreement.  Grid points are independent of each other and records come
-back in grid order.
+hide in the other.  `bn_component_dimension_identities` holds the paper's
+closed-form component dimensions and pairs them with a report the main side
+already built.  `sweep` runs both sides over a grid, classifying each point
+once, and returns every disagreement.  Grid points are independent of each
+other and records come back in grid order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brill_noether import BNInput, bn_mukai_vector, classify_bn
-from .brill_noether import bn_component_dimension_identities
+from .brill_noether import BNInput, BNReport, classify_bn
 from .hn import dim_hn_closed_form, dim_hn_stratum, enumerate_hn_types
 from .lattice import (
     MukaiVector,
@@ -34,6 +35,7 @@ __all__ = [
     "Discrepancy",
     "oracle_enumerate",
     "oracle_bn",
+    "bn_component_dimension_identities",
     "sweep",
 ]
 
@@ -162,6 +164,30 @@ def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
     return BnSummary(verdict, alpha_count, beta, tuple(sorted(dims)))
 
 
+def bn_component_dimension_identities(
+    inp: BNInput, report: BNReport
+) -> list[tuple[str, tuple[int, int, int] | None, int, int]]:
+    """Pair each component of `report` that has a closed form with it.
+
+    Returns (kind, triple, dimension, closed_form) per component: every alpha
+    component should have dimension 2*length - m*(n-m)*H.H, and the beta
+    component 3*length - 3 - n^2*H.H/2 whenever <v,v> > 0 (otherwise it has
+    no closed form and is left out).  A report without components gives [].
+    """
+    s, n, length = inp.surface, inp.n, inp.length
+    h2, v = s.h_squared, report.mukai_vector
+    checks = []
+    for comp in report.components:
+        t = comp.hn_type
+        if t is not None:
+            closed_form = 2 * length - t.m * (n - t.m) * h2
+            checks.append(("alpha", t.triple(), comp.dimension, closed_form))
+        elif mukai_pairing(s, v, v) > 0:
+            closed_form = 3 * length - 3 - (n * n * h2) // 2
+            checks.append(("beta", None, comp.dimension, closed_form))
+    return checks
+
+
 def _main_summary(report) -> BnSummary:
     alpha_count = sum(1 for c in report.components if c.hn_type is not None)
     beta = any(c.hn_type is None for c in report.components)
@@ -190,7 +216,7 @@ def sweep(grid: GridSpec, threshold: int) -> list[Discrepancy]:
                 ora = oracle_bn(s, n, length, threshold)
                 if main != ora:
                     records.append(Discrepancy(h2, n, length, "bn_summary", main, ora))
-                v = bn_mukai_vector(inp)
+                v = report.mukai_vector
                 types = enumerate_hn_types(s, v, m_max)
                 main_triples = [t.triple() for t in types]
                 ora_triples = oracle_enumerate(s, v, m_max)
@@ -205,17 +231,8 @@ def sweep(grid: GridSpec, threshold: int) -> list[Discrepancy]:
                         records.append(
                             Discrepancy(h2, n, length, f"dim_formula{t.triple()}", lhs, rhs)
                         )
-                if report.verdict == "components":
-                    for check in bn_component_dimension_identities(inp, threshold):
-                        if not check.matches:
-                            records.append(
-                                Discrepancy(
-                                    h2,
-                                    n,
-                                    length,
-                                    f"bn_dimension_identity[{check.kind}{check.triple or ''}]",
-                                    check.dimension,
-                                    check.closed_form,
-                                )
-                            )
+                for kind, triple, dim, closed in bn_component_dimension_identities(inp, report):
+                    if dim != closed:
+                        label = f"bn_dimension_identity[{kind}{triple or ''}]"
+                        records.append(Discrepancy(h2, n, length, label, dim, closed))
     return records

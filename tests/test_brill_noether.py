@@ -7,7 +7,6 @@ from moduli_atlas.brill_noether import (
     VERDICT_COMPONENTS,
     VERDICT_EMPTY,
     VERDICT_WHOLE,
-    bn_component_dimension_identities,
     bn_mukai_vector,
     classify_bn,
     exceptional,
@@ -110,31 +109,6 @@ def test_threshold_sensitivity_showcase():
     beta = [c for c in loose.components if c.kind == "beta"]
     assert [c.dimension for c in beta] == [9]
     assert not beta[0].threshold_sensitive
-
-
-def test_dimension_identities_beta():
-    checks = bn_component_dimension_identities(BNInput(S4, 1, 4))
-    assert [(c.kind, c.dimension, c.closed_form, c.matches) for c in checks] == [
-        ("beta", 7, 7, True)
-    ]
-
-
-def test_dimension_identities_alpha():
-    checks = bn_component_dimension_identities(BNInput(S2, 3, 6))
-    assert all(c.kind == "alpha" and c.closed_form == 8 and c.matches for c in checks)
-
-
-def test_dimension_identities_step_four_case():
-    checks = bn_component_dimension_identities(BNInput(S2, 2, 3))
-    assert [(c.kind, c.triple, c.closed_form) for c in checks] == [("alpha", (1, 0, 1), 4)]
-    assert checks[0].matches
-
-
-def test_dimension_identities_require_components():
-    with pytest.raises(ValueError, match="no components to check"):
-        bn_component_dimension_identities(BNInput(S2, 3, 2))
-    with pytest.raises(ValueError, match="no components to check"):
-        bn_component_dimension_identities(BNInput(S2, 1, 5))
 
 
 @given(bn_inputs)

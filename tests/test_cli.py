@@ -182,13 +182,20 @@ def test_scan_json_validates_against_schema(capsys, tmp_path):
     jsonschema.validate(json.loads(out_file.read_text()), schema)
 
 
-def test_scan_empty_range_is_a_usage_error(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "scan", "--h2", "2", "--n-range", "3..1", "--N-range", "0..12",
-        "--out", str(tmp_path / "t.csv"),
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--h2", "2", "--n-range", "3..1", "--N-range", "0..12", "--out", "t.csv"),
+        ("verify", "--h2", "2", "--n-range", "0..2", "--N-range", "5..1"),
+    ],
+    ids=["scan", "verify"],
+)
+def test_scan_empty_range_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "empty range" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_scan_malformed_range_is_a_usage_error(capsys, tmp_path):
@@ -350,3 +357,23 @@ def test_config_unreadable_path_rejected(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "classify-bn", "--h2", "2", "--n", "1", "--N", "4")
     assert code == EXIT_USAGE
     assert "cannot read config file" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("out_dir", 5), ("h2", 2.9), ("threshold", True), ("m_max", "3")],
+    ids=["out_dir-int", "h2-float", "threshold-bool", "m_max-str"],
+)
+def test_config_value_of_wrong_type_rejected(capsys, tmp_path, monkeypatch, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "scan", "--h2", "2", "--n-range", "1..2", "--N-range", "0..3", "--out", "t.csv",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"config key {key!r}" in err
+    assert not (tmp_path / "t.csv").exists()

@@ -8,6 +8,7 @@ from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
     DEFAULT_GRID,
     GridSpec,
+    bn_component_dimension_identities,
     oracle_bn,
     oracle_enumerate,
     sweep,
@@ -64,6 +65,30 @@ def test_oracle_bn_whole_verdict():
     assert oracle_bn(S2, 1, 5, 1).verdict == "whole_hilbert_scheme"
 
 
+def _identities(s, n, length):
+    inp = BNInput(s, n, length)
+    return bn_component_dimension_identities(inp, classify_bn(inp))
+
+
+def test_dimension_identities_beta():
+    assert _identities(S4, 1, 4) == [("beta", None, 7, 7)]
+
+
+def test_dimension_identities_alpha():
+    checks = _identities(S2, 3, 6)
+    assert len(checks) == 3
+    assert all(kind == "alpha" and dim == closed == 8 for kind, _, dim, closed in checks)
+
+
+def test_dimension_identities_step_four_case():
+    assert _identities(S2, 2, 3) == [("alpha", (1, 0, 1), 4, 4)]
+
+
+def test_dimension_identities_empty_without_components():
+    assert _identities(S2, 3, 2) == []
+    assert _identities(S2, 1, 5) == []
+
+
 def test_sweep_small_grid_clean():
     assert sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1) == []
 
@@ -90,6 +115,25 @@ def test_sweep_detects_seeded_fault(monkeypatch):
     records = sweep(GridSpec((2,), (2, 3), (0, 8)), 1)
     assert records
     assert any(r.check == "bn_summary" for r in records)
+    assert any(r.check.startswith("bn_dimension_identity[alpha") for r in records)
+
+
+def test_sweep_classifies_each_point_once(monkeypatch):
+    import moduli_atlas.brill_noether as bn
+    import moduli_atlas.oracle as oracle
+
+    calls = []
+    honest = bn.classify_bn
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(bn, "classify_bn", counting)
+    monkeypatch.setattr(oracle, "classify_bn", counting)
+    grid = GridSpec((2, 4), (0, 4), (0, 12))
+    assert sweep(grid, 1) == []
+    assert len(calls) == 2 * 5 * 13
 
 
 def test_sweep_detects_seeded_enumeration_fault(monkeypatch):
