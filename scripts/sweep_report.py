@@ -19,14 +19,14 @@ from moduli_atlas.report import render_scan_csv, scan_rows
 from moduli_atlas.torsion_free import classify_tf_components
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--h2", type=int, action="append", help="repeatable; default 2 4 6")
     ap.add_argument("--n-max", type=int, default=8)
     ap.add_argument("--N-max", type=int, default=40)
     ap.add_argument("--margin", type=int, default=4, help="enumeration window above n")
     ap.add_argument("--out-dir", default="sweep_out")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     h2s = tuple(args.h2) if args.h2 else (2, 4, 6)
     grid = GridSpec(h2s, (0, args.n_max), (0, args.N_max), args.margin)

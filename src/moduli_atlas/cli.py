@@ -90,7 +90,11 @@ def _vector(args, s: Surface) -> MukaiVector:
 
 
 def _window(args, config: dict, deg: int) -> int:
-    return _setting(args.m_max, config, "m_max", (deg + 1) // 2 + 8)
+    lowest = (deg + 1) // 2  # ceil(deg/2), the lowest sub-degree m of a filtration type
+    m_max = _setting(args.m_max, config, "m_max", lowest + 8)
+    if m_max < lowest:
+        raise ValueError(f"window m_max={m_max} is below ceil(deg/2)={lowest}")
+    return m_max
 
 
 def _threshold(args, config: dict) -> int:
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = tf.add_mutually_exclusive_group()
     group.add_argument("--a", type=int, help="trailing entry of the vector")
     group.add_argument("--c2", type=int, help="second Chern number instead of --a")
-    tf.add_argument("--m-max", type=int, dest="m_max", help="enumeration window (default ceil(deg/2)+8)")
+    tf.add_argument("--m-max", type=int, dest="m_max", help="enumeration window, at least ceil(deg/2) (default ceil(deg/2)+8)")
     tf.add_argument("--threshold", type=int, help="absorption threshold (default 1)")
     tf.add_argument("--format", choices=("text", "json", "csv"))
     tf.add_argument("--verbose", action="store_true", help="include absorbed strata")

@@ -150,35 +150,6 @@ def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
     )
 
 
-def _component_dict(c: ComponentRecord) -> dict:
-    return {
-        "kind": c.kind,
-        "type": list(c.triple) if c.triple is not None else None,
-        "dimension": c.dimension,
-        "codimension": c.codimension,
-        "absorbed": c.absorbed,
-        "threshold_sensitive": c.threshold_sensitive,
-    }
-
-
-def to_dict(r: ReportRecord) -> dict:
-    return {
-        "schema": SCHEMA_REPORT,
-        "tool_version": r.tool_version,
-        "kind": r.kind,
-        "h2": r.h_squared,
-        "vector": list(r.vector),
-        "n": r.n,
-        "N": r.length,
-        "verdict": r.verdict,
-        "hilb_dimension": r.hilb_dimension,
-        "window": r.window,
-        "threshold": r.threshold,
-        "notes": list(r.notes),
-        "components": [_component_dict(c) for c in r.components],
-    }
-
-
 def from_dict(d: dict) -> ReportRecord:
     if d.get("schema") != SCHEMA_REPORT:
         raise ValueError(f"unsupported report schema: {d.get('schema')!r}")
@@ -209,8 +180,64 @@ def from_dict(d: dict) -> ReportRecord:
     )
 
 
+# The JSON documents are written from fixed templates that reproduce
+# `json.dumps(doc, indent=2, sort_keys=True) + "\n"` byte for byte, because
+# `json.dumps` takes its pure-Python encoder when it indents.  Keys are in
+# sorted order ("N" sorts before the lowercase keys), one list entry a line,
+# `[]` for an empty list.  Strings go through `json.dumps`, the C escaper.
+
+# Only for the bool-or-None fields: 1 == True, so an int would print as true.
+_LITERAL = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(x: int | bool | None) -> str:
+    """null, true, false or the integer, as `json.dumps` writes them."""
+    if x is None or x is True or x is False:
+        return _LITERAL[x]
+    return str(x)
+
+
+def _list(items: list[str]) -> str:
+    """A list value of the top-level object: `[]`, or one rendered item a line."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _component_json(c: ComponentRecord) -> str:
+    if c.triple is None:
+        typ = "null"
+    else:
+        m, ell1, ell2 = c.triple
+        typ = f"[\n        {m},\n        {ell1},\n        {ell2}\n      ]"
+    return (
+        "{\n"
+        f'      "absorbed": {_LITERAL[c.absorbed]},\n'
+        f'      "codimension": {_scalar(c.codimension)},\n'
+        f'      "dimension": {c.dimension},\n'
+        f'      "kind": {json.dumps(c.kind)},\n'
+        f'      "threshold_sensitive": {_LITERAL[c.threshold_sensitive]},\n'
+        f'      "type": {typ}\n'
+        "    }"
+    )
+
+
 def render_json(r: ReportRecord) -> str:
-    return json.dumps(to_dict(r), indent=2, sort_keys=True) + "\n"
+    return (
+        "{\n"
+        f'  "N": {_scalar(r.length)},\n'
+        f'  "components": {_list([_component_json(c) for c in r.components])},\n'
+        f'  "h2": {r.h_squared},\n'
+        f'  "hilb_dimension": {_scalar(r.hilb_dimension)},\n'
+        f'  "kind": {json.dumps(r.kind)},\n'
+        f'  "n": {_scalar(r.n)},\n'
+        f'  "notes": {_list([json.dumps(x) for x in r.notes])},\n'
+        f'  "schema": {json.dumps(SCHEMA_REPORT)},\n'
+        f'  "threshold": {r.threshold},\n'
+        f'  "tool_version": {json.dumps(r.tool_version)},\n'
+        f'  "vector": {_list([str(x) for x in r.vector])},\n'
+        f'  "verdict": {"null" if r.verdict is None else json.dumps(r.verdict)},\n'
+        f'  "window": {_scalar(r.window)}\n'
+        "}\n"
+    )
 
 
 def parse_json(text: str) -> ReportRecord:
@@ -330,23 +357,27 @@ def render_scan_csv(rows: list[ScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scan_row_json(r: ScanRow) -> str:
+    return (
+        "{\n"
+        f'      "N": {r.length},\n'
+        f'      "alpha_count": {r.alpha_count},\n'
+        f'      "beta": {_LITERAL[r.beta]},\n'
+        f'      "h2": {r.h_squared},\n'
+        f'      "max_dim": {_scalar(r.max_dim)},\n'
+        f'      "min_dim": {_scalar(r.min_dim)},\n'
+        f'      "n": {r.n},\n'
+        f'      "threshold": {r.threshold},\n'
+        f'      "verdict": {json.dumps(r.verdict)}\n'
+        "    }"
+    )
+
+
 def render_scan_json(rows: list[ScanRow]) -> str:
-    payload = {
-        "schema": SCHEMA_SCAN,
-        "tool_version": VERSION,
-        "rows": [
-            {
-                "h2": r.h_squared,
-                "n": r.n,
-                "N": r.length,
-                "verdict": r.verdict,
-                "alpha_count": r.alpha_count,
-                "beta": r.beta,
-                "min_dim": r.min_dim,
-                "max_dim": r.max_dim,
-                "threshold": r.threshold,
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return (
+        "{\n"
+        f'  "rows": {_list([_scan_row_json(r) for r in rows])},\n'
+        f'  "schema": {json.dumps(SCHEMA_SCAN)},\n'
+        f'  "tool_version": {json.dumps(VERSION)}\n'
+        "}\n"
+    )

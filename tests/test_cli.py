@@ -377,3 +377,28 @@ def test_config_value_of_wrong_type_rejected(capsys, tmp_path, monkeypatch, key,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"config key {key!r}" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["classify-tf", "polygon"])
+def test_window_below_ceil_half_degree_rejected(capsys, tmp_path, monkeypatch, command, source):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--h2", "2", "--deg", "3", "--a", "5"]
+    if command == "polygon":
+        argv += ["--out", "p.svg"]
+
+    def run_window(m_max):
+        if source == "flag":
+            return run(capsys, *argv, "--m-max", str(m_max))
+        (tmp_path / "cfg.json").write_text(json.dumps({"m_max": m_max}))
+        monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "cfg.json"))
+        return run(capsys, *argv)
+
+    for m_max in (-100, 1):
+        code, out, err = run_window(m_max)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: window m_max={m_max} is below ceil(deg/2)=2\n"
+        assert not (tmp_path / "p.svg").exists()
+    code, _, err = run_window(2)
+    assert code == EXIT_OK and err == ""

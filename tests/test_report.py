@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -10,6 +11,9 @@ from moduli_atlas.brill_noether import BNInput, classify_bn
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.report import (
     CSV_COLUMNS,
+    ComponentRecord,
+    ReportRecord,
+    ScanRow,
     NOTE_EXCEPTIONAL,
     NOTE_SEMISTABLE_EMPTY,
     SCAN_COLUMNS,
@@ -165,3 +169,127 @@ def test_bn_roundtrip_property(s, n, length, threshold):
     rec = _bn_rec(s, n, length, threshold)
     assert parse_json(render_json(rec)) == rec
     jsonschema.validate(json.loads(render_json(rec)), _schema("report-v1.json"))
+
+
+# JSON is written from templates; these tests pin the bytes to the canonical
+# `json.dumps(doc, indent=2, sort_keys=True)` form of the same document.
+
+
+def _canonical(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _typed(x):
+    """`x` with the type of every leaf next to its value: 1 == True, but
+    (int, 1) != (bool, True), so a count written as `true` is caught."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_typed(y) for y in x)
+    return (type(x), x)
+
+
+def _assert_report_pinned(rec):
+    text = render_json(rec)
+    assert text == _canonical(text)
+    assert parse_json(text) == rec
+    assert _typed(dataclasses.astuple(parse_json(text))) == _typed(dataclasses.astuple(rec))
+
+
+def _assert_scan_pinned(rows):
+    text = render_scan_json(rows)
+    assert text == _canonical(text)
+    doc = json.loads(text)
+    assert doc["schema"] == SCHEMA_SCAN
+    keys = SCAN_COLUMNS.split(",")  # the ScanRow field order
+    assert _typed([[row[k] for k in keys] for row in doc["rows"]]) == _typed(
+        [dataclasses.astuple(r) for r in rows]
+    )
+
+
+ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**12), 10**12))
+nullable_ints = st.none() | ints
+nullable_bools = st.sampled_from([None, True, False])
+names = st.sampled_from(["semistable", "hn", "alpha", "beta", "empty"]) | st.text(max_size=6)
+
+component_records = st.builds(
+    ComponentRecord,
+    names,
+    st.none() | st.tuples(ints, ints, ints),
+    ints,
+    nullable_ints,
+    nullable_bools,
+    nullable_bools,
+)
+
+report_records = st.builds(
+    ReportRecord,
+    st.sampled_from(["torsion-free", "brill-noether"]),
+    ints,
+    st.tuples(ints, ints, ints),
+    nullable_ints,
+    nullable_ints,
+    st.none() | names,
+    nullable_ints,
+    nullable_ints,
+    ints,
+    st.sampled_from(["0.1.0"]) | st.text(max_size=6),
+    st.lists(names, max_size=3).map(tuple),
+    st.lists(component_records, max_size=5).map(tuple),
+)
+
+scan_row_lists = st.lists(
+    st.builds(ScanRow, ints, ints, ints, names, ints, st.booleans(), nullable_ints, nullable_ints, ints),
+    max_size=5,
+)
+
+
+@settings(deadline=None)
+@given(report_records)
+def test_render_json_matches_canonical_dump(rec):
+    _assert_report_pinned(rec)
+
+
+@settings(deadline=None)
+@given(scan_row_lists)
+def test_render_scan_json_matches_canonical_dump(rows):
+    _assert_scan_pinned(rows)
+
+
+def test_render_json_writes_counts_one_and_zero_as_integers():
+    comps = (
+        ComponentRecord("alpha", (1, 0, 1), 1, 1, None, False),
+        ComponentRecord("beta", None, 0, 0, None, True),
+        ComponentRecord("hn", (0, 1, 0), 0, None, True, None),
+    )
+    rec = ReportRecord("brill-noether", 2, (2, 1, 0), 1, 0, "components", 0, 1, 0, "0.1.0", (), comps)
+    text = render_json(rec)
+    assert '"codimension": 1,' in text and '"codimension": 0,' in text
+    assert '"N": 0,' in text and '"window": 1\n' in text
+    _assert_report_pinned(rec)
+    rows = [ScanRow(2, 1, 0, "components", 1, True, 0, 1, 0)]
+    text = render_scan_json(rows)
+    assert '"min_dim": 0,' in text and '"max_dim": 1,' in text and '"alpha_count": 1,' in text
+    _assert_scan_pinned(rows)
+
+
+def test_render_json_writes_empty_lists():
+    rec = ReportRecord("torsion-free", 2, (2, 0, 0), None, None, None, None, 0, 1, "0.1.0", (), ())
+    assert '"components": [],' in render_json(rec) and '"notes": [],' in render_json(rec)
+    _assert_report_pinned(rec)
+    assert '"rows": [],' in render_scan_json([])
+    _assert_scan_pinned([])
+
+
+def test_classifier_reports_match_canonical_dump():
+    for rec in (
+        _tf_rec(S2, MukaiVector(2, 3, 5), 3),
+        _tf_rec(S2, MukaiVector(2, 3, 9), 3),
+        _tf_rec(S2, MukaiVector(2, -3, 1), 1, include_absorbed=True),
+        _tf_rec(S4, MukaiVector(2, 0, -4), 2, include_absorbed=True),
+        _bn_rec(S4, 1, 4),
+        _bn_rec(S2, 3, 6),
+        _bn_rec(S2, 1, 5),
+        _bn_rec(S2, 3, 2),
+        _bn_rec(Surface(6), 4, 17, -1),
+    ):
+        _assert_report_pinned(rec)
+    _assert_scan_pinned(scan_rows(S2, (0, 4), (0, 15), -1))
