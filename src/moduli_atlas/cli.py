@@ -1,12 +1,10 @@
 """Command line front end.
 
 Subcommands: classify-tf, classify-bn, scan, polygon, verify.  Exit codes:
-0 success, 2 usage or domain error, 3 arithmetic overflow, 4 I/O error.
-(Python integers are unbounded, so exit 3 exists for interface completeness
-and for embedders that bound the arithmetic.)  An optional JSON config file,
-named by the MODULI_ATLAS_CONFIG environment variable, can preset defaults
-for h2, format, threshold, m_max and the output directory; explicit flags
-win over the config.
+0 success, 1 verify found discrepancies, 2 usage or domain error, 4 I/O
+error.  An optional JSON config file, named by the MODULI_ATLAS_CONFIG
+environment variable, can preset defaults for h2, format, threshold, m_max
+and the output directory; explicit flags win over the config.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .version import VERSION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_OVERFLOW = 3
 EXIT_IO = 4
 
 CONFIG_ENV = "MODULI_ATLAS_CONFIG"
@@ -189,14 +186,13 @@ def cmd_verify(args, config: dict) -> int:
         args.margin,
     )
     thresholds = [args.threshold] if args.threshold is not None else [1, -1]
-    total = 0
+    records = sweep(grid, *thresholds)
     for threshold in thresholds:
-        records = sweep(grid, threshold)
-        print(f"threshold {threshold}: {len(records)} discrepancies")
-        for record in records[:20]:
+        mine = [r for r in records if r.threshold == threshold]
+        print(f"threshold {threshold}: {len(mine)} discrepancies")
+        for record in mine[:20]:
             print(f"  {record}")
-        total += len(records)
-    return EXIT_OK if total == 0 else 1
+    return EXIT_OK if not records else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,9 +269,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:
-        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,22 +1,30 @@
 """Independent recomputation of the classifiers, and the grid sweep comparing both.
 
-`oracle_enumerate` and `oracle_bn` rebuild their answers from raw pairing
-arithmetic and brute-force scans, sharing only the lattice primitives with
-the main modules; they deliberately loop differently (quotient length major,
-and sub-degrees scanned from n - m_max upward) so a bug in one side cannot
-hide in the other.  `bn_component_dimension_identities` holds the paper's
-closed-form component dimensions and pairs them with a report the main side
-already built.  `sweep` runs both sides over a grid, classifying each point
-once, and returns every disagreement.  Grid points are independent of each
-other and records come back in grid order.
+`oracle_strata` (with its triples-only view `oracle_enumerate`) and
+`oracle_bn` rebuild their answers from raw pairing arithmetic and brute-force
+scans, sharing only the lattice primitives with the main modules; they
+deliberately loop differently (quotient length major, and sub-degrees scanned
+from n - m_max upward) so a bug in one side cannot hide in the other.
+`bn_component_dimension_identities` holds the paper's closed-form component
+dimensions and pairs them with a report the main side already built.
+
+`sweep` runs both sides over a grid at one or more thresholds and returns
+every disagreement.  At each point it runs the threshold-independent checks
+once and shares them across the thresholds: the filtration types and the
+per-type dimensions the classifiers report (expanded `hn_runs`) against
+`oracle_strata`, and each run's dimension against the closed form.  The
+locus classification against `oracle_bn` and the component dimension
+identities are checked per threshold, classifying the point once for each.
+Grid points are independent of each other and records come back in grid
+order.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brill_noether import BNInput, BNReport, classify_bn
-from .hn import dim_hn_closed_form, dim_hn_stratum, enumerate_hn_types
+from .brill_noether import BNInput, BNReport, bn_mukai_vector, classify_bn
+from .hn import dim_hn_closed_form, hn_runs
 from .lattice import (
     MukaiVector,
     Surface,
@@ -33,6 +41,7 @@ __all__ = [
     "DEFAULT_GRID",
     "BnSummary",
     "Discrepancy",
+    "oracle_strata",
     "oracle_enumerate",
     "oracle_bn",
     "bn_component_dimension_identities",
@@ -80,21 +89,23 @@ class Discrepancy:
     h_squared: int
     n: int
     length: int
+    threshold: int
     check: str
     main: object
     oracle: object
 
 
-def oracle_enumerate(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int]]:
-    """Brute-force scan for valid filtration triples on v with m <= m_max.
+def oracle_strata(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int, int]]:
+    """Brute-force scan for valid filtration types on v with m <= m_max.
 
     Scans sub-degrees from n - m_max upward so the slope bound is exercised,
     not assumed, and re-verifies each candidate by rebuilding both pieces and
-    adding them.
+    adding them.  Each hit (m, ell1, ell2, dim) carries the stratum dimension
+    <v1,v1> + <v2,v2> + <v1,v2> + 2 of those two pieces.
     """
     n, h2 = v.deg, s.h_squared
     c2 = second_chern(s, v)
-    found: list[tuple[int, int, int]] = []
+    found: list[tuple[int, int, int, int]] = []
     for m in range(n - m_max, m_max + 1):
         quot_deg = n - m
         if m < quot_deg:
@@ -106,10 +117,23 @@ def oracle_enumerate(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, 
                 continue
             if m == quot_deg and not ell1 < ell2:
                 continue
-            if ideal_sheaf_vector(s, m, ell1) + ideal_sheaf_vector(s, quot_deg, ell2) != v:
+            v1 = ideal_sheaf_vector(s, m, ell1)
+            v2 = ideal_sheaf_vector(s, quot_deg, ell2)
+            if v1 + v2 != v:
                 continue
-            found.append((m, ell1, ell2))
+            dim = (
+                mukai_pairing(s, v1, v1)
+                + mukai_pairing(s, v2, v2)
+                + mukai_pairing(s, v1, v2)
+                + 2
+            )
+            found.append((m, ell1, ell2, dim))
     return found
+
+
+def oracle_enumerate(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int]]:
+    """The triples (m, ell1, ell2) of oracle_strata, in the same order."""
+    return [t[:3] for t in oracle_strata(s, v, m_max)]
 
 
 def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
@@ -195,14 +219,56 @@ def _main_summary(report) -> BnSummary:
     return BnSummary(report.verdict, alpha_count, beta, dims)
 
 
-def sweep(grid: GridSpec, threshold: int) -> list[Discrepancy]:
+def _type_checks(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[str, object, object]]:
+    """The threshold-independent checks at one point, as (check, main, oracle).
+
+    The types of the expanded hn_runs, each with its run's dimension, are
+    compared with oracle_strata: the triples as a list (`enumeration`), and
+    the dimension of every type both sides list (`stratum_dimension`).  Each
+    run's dimension is also compared with dim_hn_closed_form on its first
+    type (`dim_formula[m]`).
+    """
+    runs = hn_runs(s, v, m_max)
+    strata = oracle_strata(s, v, m_max)
+    main = [
+        (r.m, ell1, r.budget - ell1, r.dimension)
+        for r in runs
+        for ell1 in range(r.ell1_lo, r.ell1_hi + 1)
+    ]
+    found: list[tuple[str, object, object]] = []
+    if main != strata:
+        main_triples = [t[:3] for t in main]
+        ora_triples = [t[:3] for t in strata]
+        if main_triples != ora_triples:
+            found.append(("enumeration", main_triples, ora_triples))
+        ora_dims = {t[:3]: t[3] for t in strata}
+        for t in main:
+            want = ora_dims.get(t[:3], t[3])
+            if want != t[3]:
+                found.append((f"stratum_dimension{t[:3]}", t[3], want))
+    for r in runs:
+        closed = dim_hn_closed_form(next(r.types(s, v)))
+        if r.dimension != closed:
+            found.append((f"dim_formula[{r.m}]", r.dimension, closed))
+    return found
+
+
+def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     """Compare main classifiers against the oracles over the whole grid.
 
-    Four checks per point: locus classification against oracle_bn, window
-    enumeration against oracle_enumerate, the two stratum dimension formulas
-    against each other, and the closed-form component dimension identities.
+    Shared by all thresholds, and computed once per point: the expanded
+    hn_runs against oracle_strata (`enumeration`, `stratum_dimension`) and
+    each run's dimension against the closed form (`dim_formula`).  Per
+    threshold: the locus classification against oracle_bn (`bn_summary`) and
+    the closed-form component dimension identities
+    (`bn_dimension_identity`).  A shared mismatch is recorded under every
+    threshold.  Records come back threshold by threshold, in the order given,
+    each in grid order, so the result equals the concatenation of one sweep
+    per threshold.
     """
-    records: list[Discrepancy] = []
+    if not thresholds:
+        raise ValueError("no threshold to sweep")
+    per_threshold: list[list[Discrepancy]] = [[] for _ in thresholds]
     n_lo, n_hi = grid.n_range
     len_lo, len_hi = grid.length_range
     for h2 in grid.h_squared_values:
@@ -211,28 +277,25 @@ def sweep(grid: GridSpec, threshold: int) -> list[Discrepancy]:
             m_max = n + grid.m_margin
             for length in range(len_lo, len_hi + 1):
                 inp = BNInput(s, n, length)
-                report = classify_bn(inp, threshold)
-                main = _main_summary(report)
-                ora = oracle_bn(s, n, length, threshold)
-                if main != ora:
-                    records.append(Discrepancy(h2, n, length, "bn_summary", main, ora))
-                v = report.mukai_vector
-                types = enumerate_hn_types(s, v, m_max)
-                main_triples = [t.triple() for t in types]
-                ora_triples = oracle_enumerate(s, v, m_max)
-                if main_triples != ora_triples:
-                    records.append(
-                        Discrepancy(h2, n, length, "enumeration", main_triples, ora_triples)
-                    )
-                for t in types:
-                    lhs = dim_hn_stratum(t)
-                    rhs = dim_hn_closed_form(t)
-                    if lhs != rhs:
+                shared = _type_checks(s, bn_mukai_vector(inp), m_max)
+                for threshold, records in zip(thresholds, per_threshold):
+                    report = classify_bn(inp, threshold)
+                    main = _main_summary(report)
+                    ora = oracle_bn(s, n, length, threshold)
+                    if main != ora:
                         records.append(
-                            Discrepancy(h2, n, length, f"dim_formula{t.triple()}", lhs, rhs)
+                            Discrepancy(h2, n, length, threshold, "bn_summary", main, ora)
                         )
-                for kind, triple, dim, closed in bn_component_dimension_identities(inp, report):
-                    if dim != closed:
-                        label = f"bn_dimension_identity[{kind}{triple or ''}]"
-                        records.append(Discrepancy(h2, n, length, label, dim, closed))
-    return records
+                    records.extend(
+                        Discrepancy(h2, n, length, threshold, check, lhs, rhs)
+                        for check, lhs, rhs in shared
+                    )
+                    for kind, triple, dim, closed in bn_component_dimension_identities(
+                        inp, report
+                    ):
+                        if dim != closed:
+                            label = f"bn_dimension_identity[{kind}{triple or ''}]"
+                            records.append(
+                                Discrepancy(h2, n, length, threshold, label, dim, closed)
+                            )
+    return [r for records in per_threshold for r in records]

@@ -3,12 +3,10 @@ import json
 import jsonschema
 import pytest
 
-import moduli_atlas.cli as cli
 from moduli_atlas.cli import (
     CONFIG_ENV,
     EXIT_IO,
     EXIT_OK,
-    EXIT_OVERFLOW,
     EXIT_USAGE,
     main,
 )
@@ -282,16 +280,6 @@ def test_verify_reports_discrepancies(capsys, monkeypatch):
     )
     assert code == 1
     assert "0 discrepancies" not in out
-
-
-def test_overflow_maps_to_exit_three(capsys, monkeypatch):
-    def blow_up(*args, **kwargs):
-        raise OverflowError("integer width exceeded")
-
-    monkeypatch.setattr(cli, "classify_tf_components", blow_up)
-    code, _, err = run(capsys, "classify-tf", "--h2", "2", "--deg", "3", "--a", "5")
-    assert code == EXIT_OVERFLOW
-    assert "arithmetic overflow" in err
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from hypothesis import given, settings
 
 from moduli_atlas.brill_noether import BNInput, classify_bn
-from moduli_atlas.hn import enumerate_hn_types
+from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
     DEFAULT_GRID,
@@ -11,6 +13,7 @@ from moduli_atlas.oracle import (
     bn_component_dimension_identities,
     oracle_bn,
     oracle_enumerate,
+    oracle_strata,
     sweep,
 )
 
@@ -139,12 +142,94 @@ def test_sweep_classifies_each_point_once(monkeypatch):
 def test_sweep_detects_seeded_enumeration_fault(monkeypatch):
     import moduli_atlas.oracle as oracle
 
-    honest = enumerate_hn_types
-    monkeypatch.setattr(
-        oracle, "enumerate_hn_types", lambda s, v, m_max: honest(s, v, m_max)[:-1]
-    )
+    honest = oracle.hn_runs
+
+    def drop_last_type(s, v, m_max):
+        runs = honest(s, v, m_max)
+        last = runs[-1]
+        if last.ell1_lo == last.ell1_hi:
+            return runs[:-1]
+        return runs[:-1] + [dataclasses.replace(last, ell1_hi=last.ell1_hi - 1)]
+
+    monkeypatch.setattr(oracle, "hn_runs", drop_last_type)
     records = sweep(GridSpec((2,), (3, 3), (6, 6)), 1)
     assert any(r.check == "enumeration" for r in records)
+
+
+def test_sweep_detects_run_dimension_fault(monkeypatch):
+    # the fault only the reported per-type dimensions show: bump the dimension
+    # of every run with m >= n, in every module that binds hn_runs
+    import moduli_atlas.brill_noether as bn
+    import moduli_atlas.hn as hn
+    import moduli_atlas.oracle as oracle
+    import moduli_atlas.torsion_free as tf
+
+    honest = hn.hn_runs
+
+    def bumped(s, v, m_max):
+        return [
+            dataclasses.replace(r, dimension=r.dimension + 1) if r.m >= v.deg else r
+            for r in honest(s, v, m_max)
+        ]
+
+    for module in (hn, oracle, tf, bn):
+        monkeypatch.setattr(module, "hn_runs", bumped)
+    records = sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1, -1)
+    for threshold in (1, -1):
+        checks = {r.check.split("(")[0].split("[")[0] for r in records if r.threshold == threshold}
+        assert {"stratum_dimension", "dim_formula"} <= checks
+
+
+def test_sweep_runs_the_oracle_once_per_point(monkeypatch):
+    import moduli_atlas.oracle as oracle
+
+    calls = []
+    honest = oracle.oracle_strata
+
+    def counting(s, v, m_max):
+        calls.append((s, v, m_max))
+        return honest(s, v, m_max)
+
+    monkeypatch.setattr(oracle, "oracle_strata", counting)
+    grid = GridSpec((2, 4), (0, 4), (0, 12))
+    assert sweep(grid, 1, -1) == []
+    first = list(calls)
+    assert len(first) == len(set(first)) == 2 * 5 * 13
+    calls.clear()
+    assert sweep(grid, 1, -1) == []
+    assert calls == first
+
+
+def test_sweep_thresholds_concatenate_single_sweeps(monkeypatch):
+    import moduli_atlas.brill_noether as bn
+
+    honest = bn.hn_runs
+    monkeypatch.setattr(
+        bn,
+        "hn_runs",
+        lambda s, v, m_max: [
+            dataclasses.replace(r, dimension=r.dimension + 1) for r in honest(s, v, m_max)
+        ],
+    )
+    grid = GridSpec((2,), (2, 3), (0, 8))
+    both = sweep(grid, 1, -1)
+    assert {r.threshold for r in both} == {1, -1}
+    assert both == sweep(grid, 1) + sweep(grid, -1)
+
+
+def test_sweep_needs_a_threshold():
+    with pytest.raises(ValueError, match="no threshold"):
+        sweep(GridSpec((2,), (0, 0), (0, 1)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(windowed_contexts())
+def test_oracle_strata_extends_oracle_enumerate(ctx):
+    s, v, m_max = ctx
+    strata = oracle_strata(s, v, m_max)
+    assert [t[:3] for t in strata] == oracle_enumerate(s, v, m_max)
+    for m, ell1, ell2, dim in strata:
+        assert dim == dim_hn_stratum(HNType(s, v, m, ell1, ell2))
 
 
 @settings(deadline=None, max_examples=40)
