@@ -4,7 +4,8 @@ Writes, per surface, a CSV of locus classifications over the (n, N)
 rectangle and an SVG of the filtration polygons of one showcase vector,
 then cross-checks the whole grid against the independent oracles at both
 threshold readings.  Everything is deterministic; rerunning into the same
-directory reproduces identical bytes.
+directory reproduces identical bytes.  Exit codes: 0 no discrepancies, 1 the
+oracle found discrepancies, 2 bad input (nothing is written).
 """
 
 import argparse
@@ -29,7 +30,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     h2s = tuple(args.h2) if args.h2 else (2, 4, 6)
-    grid = GridSpec(h2s, (0, args.n_max), (0, args.N_max), args.margin)
+    try:
+        grid = GridSpec(h2s, (0, args.n_max), (0, args.N_max), args.margin)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(args.out_dir, exist_ok=True)
 
     for h2 in h2s:

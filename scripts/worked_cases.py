@@ -42,8 +42,8 @@ def main():
     print()
     print("torsion-free strata of the rigid vector (2, 3, 5) at h2=2, window m<=3:")
     for c in classify_tf_components(Surface(2), MukaiVector(2, 3, 5), 3):
-        label = "semistable" if c.is_semistable else f"type {c.hn_type.triple()}"
-        print(f"  {label:<18} stack dimension {c.stack_dimension}")
+        label = "semistable" if c.triple is None else f"type {c.triple}"
+        print(f"  {label:<18} stack dimension {c.dimension}")
 
     if drift:
         print(f"\n{drift} case(s) drifted", file=sys.stderr)

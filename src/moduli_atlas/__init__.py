@@ -3,13 +3,14 @@
 Two classifiers share one lattice core: `classify_tf_components` lists the
 strata of the stack of rank-2 torsion-free sheaves with a given vector, and
 `classify_bn` lists the irreducible components of the locus of length-N
-subschemes whose twisted ideal sheaf has a nonvanishing h^1.  Both report
-exact stack or locus dimensions; `oracle.sweep` cross-checks them against
-independent brute-force recomputations.
+subschemes whose twisted ideal sheaf has a nonvanishing h^1.  Both list one
+`ComponentRecord` per stratum or component, with its filtration type
+(m, ell1, ell2) and its exact stack or locus dimension; the report renderers
+print these records as they are.  `oracle.sweep` cross-checks the
+classifiers against independent brute-force recomputations.
 """
 
 from .brill_noether import (
-    BNComponent,
     BNInput,
     BNReport,
     VERDICT_COMPONENTS,
@@ -20,6 +21,7 @@ from .brill_noether import (
     exceptional,
 )
 from .hn import (
+    ComponentRecord,
     HNType,
     SEMISTABLE,
     dim_hn_closed_form,
@@ -51,7 +53,6 @@ from .oracle import (
 )
 from .torsion_free import (
     DEFAULT_THRESHOLD,
-    TfComponent,
     classify_tf_components,
     dim_mss,
     mss_nonempty,
@@ -72,19 +73,18 @@ __all__ = [
     "h0_line_bundle",
     "second_chern",
     "HNType",
+    "ComponentRecord",
     "SEMISTABLE",
     "make_hn_type",
     "enumerate_hn_types",
     "dim_hn_stratum",
     "dim_hn_closed_form",
     "hnp_dominates",
-    "TfComponent",
     "DEFAULT_THRESHOLD",
     "mss_nonempty",
     "dim_mss",
     "classify_tf_components",
     "BNInput",
-    "BNComponent",
     "BNReport",
     "VERDICT_WHOLE",
     "VERDICT_COMPONENTS",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hn import HNRun, HNType, hn_runs
+from .hn import ComponentRecord, HNRun, hn_runs
 from .lattice import (
     MukaiVector,
     Surface,
@@ -44,7 +44,6 @@ __all__ = [
     "VERDICT_COMPONENTS",
     "VERDICT_EMPTY",
     "BNInput",
-    "BNComponent",
     "BNReport",
     "BNRuns",
     "bn_mukai_vector",
@@ -74,28 +73,10 @@ class BNInput:
 
 
 @dataclass(frozen=True, slots=True)
-class BNComponent:
-    """One irreducible component of the locus.
-
-    `hn_type` is None for the component coming from the semistable locus
-    (kind "beta") and a filtration type for the unstable ones (kind "alpha").
-    """
-
-    hn_type: HNType | None
-    dimension: int
-    codimension: int
-    threshold_sensitive: bool
-
-    @property
-    def kind(self) -> str:
-        return "beta" if self.hn_type is None else "alpha"
-
-
-@dataclass(frozen=True, slots=True)
 class BNReport:
     verdict: str
     hilb_dimension: int
-    components: tuple[BNComponent, ...]
+    components: tuple[ComponentRecord, ...]
     mukai_vector: MukaiVector
     exceptional_case: bool
 
@@ -165,15 +146,18 @@ def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
     complete.  Components are listed beta first, then alphas by (m, ell1).
     """
     runs = bn_runs(inp, threshold)
-    s, v, hilb_dim = inp.surface, runs.mukai_vector, runs.hilb_dimension
-    comps: list[BNComponent] = []
+    hilb_dim = runs.hilb_dimension
+    comps: list[ComponentRecord] = []
     if runs.beta_dimension is not None:
         dim = runs.beta_dimension
-        comps.append(BNComponent(None, dim, hilb_dim - dim, False))
+        comps.append(ComponentRecord("beta", None, dim, hilb_dim - dim, None, False))
     for run in runs.alpha_runs:
         dim = run.dimension + runs.chi
         sensitive = run.pairing in (0, 1)
         comps.extend(
-            BNComponent(t, dim, hilb_dim - dim, sensitive) for t in run.types(s, v)
+            ComponentRecord("alpha", t, dim, hilb_dim - dim, None, sensitive)
+            for t in run.triples()
         )
-    return BNReport(runs.verdict, hilb_dim, tuple(comps), v, runs.exceptional_case)
+    return BNReport(
+        runs.verdict, hilb_dim, tuple(comps), runs.mukai_vector, runs.exceptional_case
+    )

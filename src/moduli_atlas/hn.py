@@ -51,6 +51,7 @@ from .lattice import (
 __all__ = [
     "HNType",
     "HNRun",
+    "ComponentRecord",
     "SEMISTABLE",
     "make_hn_type",
     "hn_runs",
@@ -103,11 +104,36 @@ class HNRun:
         """ell1 + ell2, solved from dimension = 2*budget - 2 + pairing."""
         return (self.dimension + 2 - self.pairing) // 2
 
-    def types(self, s: Surface, v: MukaiVector) -> Iterator[HNType]:
-        """The run's types on v, in increasing ell1."""
-        budget = self.budget
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        """The run's types (m, ell1, ell2), in increasing ell1."""
+        m, budget = self.m, self.budget
         for ell1 in range(self.ell1_lo, self.ell1_hi + 1):
-            yield HNType(s, v, self.m, ell1, budget - ell1)
+            yield (m, ell1, budget - ell1)
+
+
+@dataclass(frozen=True, slots=True)
+class ComponentRecord:
+    """One listed stratum or component, as both classifiers report it.
+
+    `kind` is "semistable" or "hn" (torsion-free stack), "beta" or "alpha"
+    (Brill-Noether locus); `triple` is the filtration type (m, ell1, ell2),
+    None for the semistable and beta entries.  Fields a kind does not use
+    are None.
+    """
+
+    kind: str
+    triple: tuple[int, int, int] | None
+    dimension: int
+    codimension: int | None
+    absorbed: bool | None
+    threshold_sensitive: bool | None
+
+    @property
+    def hn_type(self) -> tuple[int, int, int] | None:
+        # Read-only alias of `triple`, kept because `_count_bn` in
+        # bench/tracing.py counts the alpha components of `classify_bn`
+        # results by `c.hn_type is not None`; drop it once that reads `triple`.
+        return self.triple
 
 
 class _SemistablePolygon:
@@ -177,7 +203,7 @@ def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:
     Deterministic, duplicate-free, and monotone in the window: the list for a
     smaller m_max is a prefix of the list for a larger one.
     """
-    return [t for run in hn_runs(s, v, m_max) for t in run.types(s, v)]
+    return [HNType(s, v, *t) for run in hn_runs(s, v, m_max) for t in run.triples()]
 
 
 def dim_hn_stratum(t: HNType) -> int:

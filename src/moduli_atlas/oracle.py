@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brill_noether import BNInput, BNReport, bn_mukai_vector, classify_bn
-from .hn import dim_hn_closed_form, hn_runs
+from .hn import HNType, dim_hn_closed_form, hn_runs
 from .lattice import (
     MukaiVector,
     Surface,
@@ -202,10 +202,10 @@ def bn_component_dimension_identities(
     h2, v = s.h_squared, report.mukai_vector
     checks = []
     for comp in report.components:
-        t = comp.hn_type
-        if t is not None:
-            closed_form = 2 * length - t.m * (n - t.m) * h2
-            checks.append(("alpha", t.triple(), comp.dimension, closed_form))
+        if comp.kind == "alpha":
+            m = comp.triple[0]
+            closed_form = 2 * length - m * (n - m) * h2
+            checks.append(("alpha", comp.triple, comp.dimension, closed_form))
         elif mukai_pairing(s, v, v) > 0:
             closed_form = 3 * length - 3 - (n * n * h2) // 2
             checks.append(("beta", None, comp.dimension, closed_form))
@@ -213,8 +213,8 @@ def bn_component_dimension_identities(
 
 
 def _main_summary(report) -> BnSummary:
-    alpha_count = sum(1 for c in report.components if c.hn_type is not None)
-    beta = any(c.hn_type is None for c in report.components)
+    alpha_count = sum(1 for c in report.components if c.kind == "alpha")
+    beta = any(c.kind == "beta" for c in report.components)
     dims = tuple(sorted(c.dimension for c in report.components))
     return BnSummary(report.verdict, alpha_count, beta, dims)
 
@@ -230,11 +230,7 @@ def _type_checks(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[str, obje
     """
     runs = hn_runs(s, v, m_max)
     strata = oracle_strata(s, v, m_max)
-    main = [
-        (r.m, ell1, r.budget - ell1, r.dimension)
-        for r in runs
-        for ell1 in range(r.ell1_lo, r.ell1_hi + 1)
-    ]
+    main = [(*t, r.dimension) for r in runs for t in r.triples()]
     found: list[tuple[str, object, object]] = []
     if main != strata:
         main_triples = [t[:3] for t in main]
@@ -247,7 +243,7 @@ def _type_checks(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[str, obje
             if want != t[3]:
                 found.append((f"stratum_dimension{t[:3]}", t[3], want))
     for r in runs:
-        closed = dim_hn_closed_form(next(r.types(s, v)))
+        closed = dim_hn_closed_form(HNType(s, v, *next(r.triples())))
         if r.dimension != closed:
             found.append((f"dim_formula[{r.m}]", r.dimension, closed))
     return found

@@ -10,8 +10,8 @@ higher degree plots higher), and the output bytes depend only on the input.
 
 from __future__ import annotations
 
+from .hn import ComponentRecord
 from .lattice import MukaiVector, Surface
-from .torsion_free import TfComponent
 
 __all__ = ["polygon_svg"]
 
@@ -31,18 +31,17 @@ def _shell(header: str, body: list[str], top: int, bottom: int, width: int) -> s
 
 
 def polygon_svg(
-    s: Surface, v: MukaiVector, components: list[TfComponent], m_max: int
+    s: Surface, v: MukaiVector, components: list[ComponentRecord], m_max: int
 ) -> str:
     """Overlay of the polygons of all non-absorbed components of the stack."""
     h2 = s.h_squared
     n = v.deg
     header = f"h2={h2} v=({v.rank}, {v.deg}, {v.a}) window m&lt;={m_max}"
-    chord = any(c.is_semistable for c in components)
+    chord = any(c.kind == "semistable" for c in components)
     by_m: dict[int, list[tuple[int, int, int]]] = {}
     for c in components:
-        if c.is_semistable or c.absorbed:
-            continue
-        by_m.setdefault(c.hn_type.m, []).append(c.hn_type.triple())
+        if c.triple is not None and not c.absorbed:
+            by_m.setdefault(c.triple[0], []).append(c.triple)
     if not chord and not by_m:
         return _shell(header, ['<text x="0" y="60" font-size="14" font-family="monospace">no components in window</text>'], 0, 100, 560)
 

@@ -18,8 +18,8 @@ from .brill_noether import (
     VERDICT_WHOLE,
     bn_runs,
 )
+from .hn import ComponentRecord
 from .lattice import MukaiVector, Surface
-from .torsion_free import TfComponent
 from .version import VERSION
 
 __all__ = [
@@ -52,16 +52,6 @@ NOTE_EXCEPTIONAL = "exceptional case: no semistable component"
 
 
 @dataclass(frozen=True, slots=True)
-class ComponentRecord:
-    kind: str  # semistable | hn | beta | alpha
-    triple: tuple[int, int, int] | None
-    dimension: int
-    codimension: int | None
-    absorbed: bool | None
-    threshold_sensitive: bool | None
-
-
-@dataclass(frozen=True, slots=True)
 class ReportRecord:
     kind: str  # torsion-free | brill-noether
     h_squared: int
@@ -80,28 +70,14 @@ class ReportRecord:
 def tf_record(
     s: Surface,
     v: MukaiVector,
-    components: list[TfComponent],
+    components: list[ComponentRecord],
     m_max: int,
     threshold: int,
     include_absorbed: bool = False,
 ) -> ReportRecord:
     """Record for a torsion-free classification; absorbed strata are hidden
     unless `include_absorbed` (they are not irreducible components)."""
-    semistable_present = any(c.is_semistable for c in components)
-    recs = []
-    for c in components:
-        if c.absorbed and not include_absorbed:
-            continue
-        recs.append(
-            ComponentRecord(
-                "semistable" if c.is_semistable else "hn",
-                None if c.is_semistable else c.hn_type.triple(),
-                c.stack_dimension,
-                None,
-                c.absorbed,
-                None,
-            )
-        )
+    semistable_present = bool(components) and components[0].kind == "semistable"
     notes = () if semistable_present else (NOTE_SEMISTABLE_EMPTY,)
     return ReportRecord(
         "torsion-free",
@@ -115,22 +91,11 @@ def tf_record(
         threshold,
         VERSION,
         notes,
-        tuple(recs),
+        tuple(c for c in components if include_absorbed or not c.absorbed),
     )
 
 
 def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
-    recs = tuple(
-        ComponentRecord(
-            c.kind,
-            c.hn_type.triple() if c.hn_type is not None else None,
-            c.dimension,
-            c.codimension,
-            None,
-            c.threshold_sensitive,
-        )
-        for c in rep.components
-    )
     notes = ()
     if rep.exceptional_case and rep.verdict != VERDICT_WHOLE:
         notes = (NOTE_EXCEPTIONAL,)
@@ -146,7 +111,7 @@ def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
         threshold,
         VERSION,
         notes,
-        recs,
+        rep.components,
     )
 
 

@@ -18,37 +18,16 @@ threshold; the threshold is a parameter with default 1 everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .hn import HNType, hn_runs
+from .hn import ComponentRecord, hn_runs
 from .lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
 
 __all__ = [
-    "TfComponent",
     "mss_nonempty",
     "dim_mss",
     "classify_tf_components",
 ]
 
 DEFAULT_THRESHOLD = 1
-
-
-@dataclass(frozen=True, slots=True)
-class TfComponent:
-    """One stratum of the torsion-free stack: semistable, or one filtration type.
-
-    `absorbed` marks unstable strata lying in the closure of the semistable
-    locus; they are not irreducible components and reports hide them unless
-    asked to show everything.
-    """
-
-    hn_type: HNType | None
-    stack_dimension: int
-    absorbed: bool
-
-    @property
-    def is_semistable(self) -> bool:
-        return self.hn_type is None
 
 
 def mss_nonempty(s: Surface, v: MukaiVector) -> bool:
@@ -73,22 +52,25 @@ def dim_mss(s: Surface, v: MukaiVector) -> int:
 
 def classify_tf_components(
     s: Surface, v: MukaiVector, m_max: int, threshold: int = DEFAULT_THRESHOLD
-) -> list[TfComponent]:
+) -> list[ComponentRecord]:
     """Strata of the rank-2 torsion-free stack with vector v, sub-degree <= m_max.
 
-    The semistable entry comes first when it is nonempty, followed by the
-    filtration strata in (m, ell1) order, each flagged `absorbed` when the
-    semistable locus is nonempty and the sub/quotient pairing exceeds the
-    threshold.  When the semistable locus is empty every stratum is a genuine
-    component and none is absorbed.  Enlarging m_max only appends entries.
+    The "semistable" entry comes first when it is nonempty, followed by the
+    "hn" filtration strata in (m, ell1) order, each flagged `absorbed` when
+    the semistable locus is nonempty and the sub/quotient pairing exceeds the
+    threshold.  Absorbed strata lie in the closure of the semistable locus and
+    are not irreducible components; when that locus is empty every stratum is
+    a genuine component and none is absorbed.  Dimensions are stack
+    dimensions.  Enlarging m_max only appends entries.
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
     nonempty = mss_nonempty(s, v)
-    out: list[TfComponent] = []
+    out: list[ComponentRecord] = []
     if nonempty:
-        out.append(TfComponent(None, dim_mss(s, v), False))
+        out.append(ComponentRecord("semistable", None, dim_mss(s, v), None, False, None))
     for run in hn_runs(s, v, m_max):
         absorbed = nonempty and run.pairing > threshold
-        out.extend(TfComponent(t, run.dimension, absorbed) for t in run.types(s, v))
+        dim = run.dimension
+        out.extend(ComponentRecord("hn", t, dim, None, absorbed, None) for t in run.triples())
     return out

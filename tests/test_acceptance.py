@@ -21,6 +21,7 @@ from moduli_atlas.hn import (
     dim_hn_stratum,
     enumerate_hn_types,
     hnp_dominates,
+    make_hn_type,
 )
 from moduli_atlas.lattice import (
     MukaiVector,
@@ -124,7 +125,7 @@ def test_criterion_07_codimension_identities_on_grid():
             for c in rep.components:
                 if c.kind == "alpha":
                     checked += 1
-                    m = c.hn_type.m
+                    m = c.triple[0]
                     if c.codimension != m * (n - m) * s.h_squared:
                         ok = False
                 elif mukai_pairing(s, v, v) > 0:
@@ -264,9 +265,9 @@ def test_criterion_10_torsion_free_properties_on_grid():
         case_c = divisibility(v) >= 2 and mukai_pairing(s, v0, v0) in (0, -2)
         for threshold in (1, -1):
             for c in classify_tf_components(s, v, n + 4, threshold):
-                if c.is_semistable:
+                if c.kind == "semistable":
                     continue
-                pairing = c.hn_type.sub_quotient_pairing()
+                pairing = make_hn_type(s, v, *c.triple[:2]).sub_quotient_pairing()
                 absorbed_checked += 1
                 if c.absorbed != (nonempty and pairing > threshold):
                     ok = False
@@ -276,7 +277,7 @@ def test_criterion_10_torsion_free_properties_on_grid():
                         ok = False
                 if norm > 0 and threshold == 1:
                     gap_checked += 1
-                    if dim_mss(s, v) - c.stack_dimension != pairing - 1:
+                    if dim_mss(s, v) - c.dimension != pairing - 1:
                         ok = False
     ok = ok and absorbed_checked > 0 and case_c_checked > 0 and gap_checked > 0
     _report(

@@ -11,6 +11,7 @@ from moduli_atlas.brill_noether import (
     classify_bn,
     exceptional,
 )
+from moduli_atlas.hn import make_hn_type
 from moduli_atlas.lattice import (
     MukaiVector,
     Surface,
@@ -81,7 +82,7 @@ def test_classify_exceptional_case():
     assert rep.exceptional_case
     assert rep.verdict == VERDICT_COMPONENTS
     assert all(c.kind == "alpha" for c in rep.components)
-    assert [c.hn_type.triple() for c in rep.components] == [(2, 0, 2), (2, 1, 1), (2, 2, 0)]
+    assert [c.triple for c in rep.components] == [(2, 0, 2), (2, 1, 1), (2, 2, 0)]
     assert [c.dimension for c in rep.components] == [8, 8, 8]
 
 
@@ -105,7 +106,8 @@ def test_threshold_sensitivity_showcase():
     alphas = [c for c in loose.components if c.kind == "alpha"]
     assert len(alphas) == 3
     assert all(c.threshold_sensitive for c in alphas)
-    assert all(c.hn_type.sub_quotient_pairing() == 0 for c in alphas)
+    v = loose.mukai_vector
+    assert all(make_hn_type(S2, v, *c.triple[:2]).sub_quotient_pairing() == 0 for c in alphas)
     beta = [c for c in loose.components if c.kind == "beta"]
     assert [c.dimension for c in beta] == [9]
     assert not beta[0].threshold_sensitive
@@ -137,7 +139,7 @@ def test_codimension_identities(inp, threshold):
         assert c.dimension + c.codimension == 2 * inp.length
         assert c.codimension >= 1
         if c.kind == "alpha":
-            m = c.hn_type.m
+            m = c.triple[0]
             assert c.codimension == m * (inp.n - m) * s.h_squared
             assert c.codimension >= s.h_squared >= 2
         elif mukai_pairing(s, v, v) > 0:
@@ -148,7 +150,7 @@ def test_codimension_identities(inp, threshold):
 @given(bn_inputs, st.sampled_from([1, -1]))
 def test_component_uniqueness(inp, threshold):
     rep = classify_bn(inp, threshold)
-    triples = [c.hn_type.triple() for c in rep.components if c.kind == "alpha"]
+    triples = [c.triple for c in rep.components if c.kind == "alpha"]
     assert len(triples) == len(set(triples))
     assert sum(1 for c in rep.components if c.kind == "beta") <= 1
     # beta leads, alphas follow in (m, ell1) order

@@ -124,6 +124,22 @@ def test_tf_record_hides_absorbed_strata():
     assert [c.absorbed for c in shown.components] == [False, True, True, True]
 
 
+def test_records_pass_classifier_components_through():
+    inp = BNInput(S2, 3, 7)
+    rep = classify_bn(inp, 1)
+    assert bn_record(inp, rep, 1).components is rep.components
+    assert [c.kind for c in rep.components] == ["beta", "alpha", "alpha", "alpha"]
+    seen = set()
+    for v, m_max in ((MukaiVector(2, 0, -4), 0), (MukaiVector(2, 3, 5), 3)):
+        comps = classify_tf_components(S2, v, m_max)
+        kept = tf_record(S2, v, comps, m_max, 1, include_absorbed=False).components
+        assert kept == tuple(c for c in comps if not c.absorbed)
+        seen.update((c.kind, c.absorbed) for c in comps)
+        # the alias of `triple` that bench/tracing.py reads
+        assert all(c.hn_type == c.triple for c in comps + list(rep.components))
+    assert seen == {("semistable", False), ("hn", True), ("hn", False)}
+
+
 def test_scan_rows_grid():
     rows = scan_rows(S2, (1, 3), (0, 12), 1)
     assert len(rows) == 39

@@ -9,7 +9,7 @@ oracle give.
 import pytest
 
 from moduli_atlas.brill_noether import VERDICT_WHOLE, BNInput, classify_bn
-from moduli_atlas.hn import dim_hn_stratum
+from moduli_atlas.hn import dim_hn_stratum, make_hn_type
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import oracle_bn, oracle_enumerate
 from moduli_atlas.report import ScanRow, scan_rows
@@ -61,12 +61,12 @@ def test_tf_strata_match_per_type_formulas(window):
                 for threshold in (1, -1, -3):
                     strata = [
                         c for c in classify_tf_components(s, v, m_max, threshold)
-                        if not c.is_semistable
+                        if c.kind != "semistable"
                     ]
-                    assert [c.hn_type.triple() for c in strata] == oracle_enumerate(s, v, m_max)
+                    assert [c.triple for c in strata] == oracle_enumerate(s, v, m_max)
                     for c in strata:
-                        t = c.hn_type
-                        assert c.stack_dimension == dim_hn_stratum(t)
+                        t = make_hn_type(s, v, *c.triple[:2])
+                        assert c.dimension == dim_hn_stratum(t)
                         assert c.absorbed == (nonempty and t.sub_quotient_pairing() > threshold)
                     checked += len(strata)
     assert checked > 0

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,3 +28,14 @@ def test_sweep_report_script_is_reproducible(tmp_path, capsys):
     assert sorted(runs[0]) == ["polygons_h2_2.svg", "scan_h2_2.csv"]
     assert runs[0] == runs[1]
     assert "0 discrepancies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bad", [["--h2", "3"], ["--n-max", "-1"], ["--margin", "-1"]], ids=["h2", "n_max", "margin"]
+)
+def test_sweep_report_rejects_bad_input(tmp_path, capsys, bad):
+    out_dir = tmp_path / "out"
+    assert load_script("sweep_report").main(bad + ["--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_dir.exists()

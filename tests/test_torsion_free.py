@@ -2,11 +2,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from moduli_atlas.hn import SEMISTABLE, enumerate_hn_types, hnp_dominates
+from moduli_atlas.hn import SEMISTABLE, enumerate_hn_types, hnp_dominates, make_hn_type
 from moduli_atlas.lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
 from moduli_atlas.torsion_free import (
     DEFAULT_THRESHOLD,
-    TfComponent,
     classify_tf_components,
     dim_mss,
     mss_nonempty,
@@ -41,9 +40,12 @@ def test_dim_mss_raises_when_empty():
 def test_classify_rigid_vector():
     comps = classify_tf_components(S2, V235, 3)
     assert len(comps) == 11
-    assert comps[0].is_semistable
-    assert comps[0].stack_dimension == -1
-    pairings = {c.hn_type.m: c.hn_type.sub_quotient_pairing() for c in comps[1:]}
+    assert comps[0].kind == "semistable"
+    assert comps[0].dimension == -1
+    pairings = {
+        c.triple[0]: make_hn_type(S2, V235, *c.triple[:2]).sub_quotient_pairing()
+        for c in comps[1:]
+    }
     assert pairings == {2: -1, 3: -5}
     assert not any(c.absorbed for c in comps)
 
@@ -51,27 +53,27 @@ def test_classify_rigid_vector():
 def test_classify_without_semistable_locus():
     comps = classify_tf_components(S2, MukaiVector(2, 3, 9), 3)
     assert len(comps) == 3
-    assert all(c.hn_type.m == 3 for c in comps)
-    assert not any(c.is_semistable for c in comps)
+    assert all(c.triple[0] == 3 for c in comps)
+    assert not any(c.kind == "semistable" for c in comps)
     assert not any(c.absorbed for c in comps)
 
 
 def test_classify_divisible_vector():
     comps = classify_tf_components(S2, MukaiVector(2, 2, 2), 1)
     assert len(comps) == 2
-    assert comps[0].is_semistable and comps[0].stack_dimension == 2
-    t = comps[1].hn_type
-    assert t.triple() == (1, 0, 2)
+    assert comps[0].kind == "semistable" and comps[0].dimension == 2
+    assert comps[1].triple == (1, 0, 2)
+    t = make_hn_type(S2, MukaiVector(2, 2, 2), *comps[1].triple[:2])
     assert t.sub_quotient_pairing() == 0
-    assert comps[1].stack_dimension == 2
+    assert comps[1].dimension == 2
     assert not comps[1].absorbed
 
 
 def test_classify_flags_absorbed_strata():
     # equal-slope splittings of (2,0,-4) all have pairing 4 > 1
     comps = classify_tf_components(S2, MukaiVector(2, 0, -4), 0)
-    assert comps[0].is_semistable and comps[0].stack_dimension == 17
-    assert [c.hn_type.triple() for c in comps[1:]] == [(0, 0, 6), (0, 1, 5), (0, 2, 4)]
+    assert comps[0].kind == "semistable" and comps[0].dimension == 17
+    assert [c.triple for c in comps[1:]] == [(0, 0, 6), (0, 1, 5), (0, 2, 4)]
     assert all(c.absorbed for c in comps[1:])
     # a lenient threshold keeps them
     lenient = classify_tf_components(S2, MukaiVector(2, 0, -4), 0, threshold=4)
@@ -89,10 +91,11 @@ def test_absorption_criterion(ctx, threshold):
     s, v, m_max = ctx
     nonempty = mss_nonempty(s, v)
     for c in classify_tf_components(s, v, m_max, threshold):
-        if c.is_semistable:
+        if c.kind == "semistable":
             assert nonempty
             continue
-        expected = nonempty and c.hn_type.sub_quotient_pairing() > threshold
+        pairing = make_hn_type(s, v, *c.triple[:2]).sub_quotient_pairing()
+        expected = nonempty and pairing > threshold
         assert c.absorbed == expected
 
 
@@ -115,7 +118,7 @@ def test_divisible_low_norm_strata_never_absorbed(ctx):
 def test_no_mutual_dominance_between_components(ctx):
     s, v, m_max = ctx
     kept = [
-        SEMISTABLE if c.is_semistable else c.hn_type
+        SEMISTABLE if c.kind == "semistable" else make_hn_type(s, v, *c.triple[:2])
         for c in classify_tf_components(s, v, m_max)
         if not c.absorbed
     ]
@@ -142,13 +145,13 @@ def test_mss_stratum_dimension_gap(ctx):
         return
     top = dim_mss(s, v)
     for c in classify_tf_components(s, v, m_max):
-        if c.is_semistable:
+        if c.kind == "semistable":
             continue
-        assert top - c.stack_dimension == c.hn_type.sub_quotient_pairing() - 1
+        pairing = make_hn_type(s, v, *c.triple[:2]).sub_quotient_pairing()
+        assert top - c.dimension == pairing - 1
 
 
 def test_component_kind_flag():
-    semi = TfComponent(None, 3, False)
-    assert semi.is_semistable
     comps = classify_tf_components(S2, V235, 2)
-    assert not comps[1].is_semistable
+    assert comps[0].kind == "semistable"
+    assert comps[1].kind == "hn"
