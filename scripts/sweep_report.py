@@ -5,7 +5,8 @@ rectangle and an SVG of the filtration polygons of one showcase vector,
 then cross-checks the whole grid against the independent oracles at both
 threshold readings.  Everything is deterministic; rerunning into the same
 directory reproduces identical bytes.  Exit codes: 0 no discrepancies, 1 the
-oracle found discrepancies, 2 bad input (nothing is written).
+oracle found discrepancies, 2 bad input (nothing is written), 4 the output
+directory or a file in it cannot be written.
 """
 
 import argparse
@@ -18,6 +19,34 @@ from moduli_atlas.oracle import GridSpec, sweep
 from moduli_atlas.polygon import polygon_svg
 from moduli_atlas.report import render_scan_csv, scan_rows
 from moduli_atlas.torsion_free import classify_tf_components
+
+
+def write_artifacts(grid, out_dir):
+    """Write the scan CSV and the showcase polygon SVG of every surface."""
+    os.makedirs(out_dir, exist_ok=True)
+    for h2 in grid.h_squared_values:
+        s = Surface(h2)
+        rows = scan_rows(s, grid.n_range, grid.length_range, 1)
+        csv_path = os.path.join(out_dir, f"scan_h2_{h2}.csv")
+        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(render_scan_csv(rows))
+        proper = sum(1 for r in rows if r.verdict == "components")
+        print(f"h2={h2}: {len(rows)} rows ({proper} with proper components) -> {csv_path}")
+
+        # showcase polygon: the largest-N column with proper components
+        showcase = max(
+            (r for r in rows if r.verdict == "components"),
+            key=lambda r: (r.length, r.n),
+            default=None,
+        )
+        if showcase is not None:
+            v = bn_mukai_vector(BNInput(s, showcase.n, showcase.length))
+            m_max = showcase.n + grid.m_margin
+            comps = classify_tf_components(s, v, m_max)
+            svg_path = os.path.join(out_dir, f"polygons_h2_{h2}.svg")
+            with open(svg_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(polygon_svg(s, v, comps, m_max))
+            print(f"h2={h2}: polygons of v={v.triple()} -> {svg_path}")
 
 
 def main(argv=None):
@@ -35,31 +64,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    for h2 in h2s:
-        s = Surface(h2)
-        rows = scan_rows(s, grid.n_range, grid.length_range, 1)
-        csv_path = os.path.join(args.out_dir, f"scan_h2_{h2}.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_scan_csv(rows))
-        proper = sum(1 for r in rows if r.verdict == "components")
-        print(f"h2={h2}: {len(rows)} rows ({proper} with proper components) -> {csv_path}")
-
-        # showcase polygon: the largest-N column with proper components
-        showcase = max(
-            (r for r in rows if r.verdict == "components"),
-            key=lambda r: (r.length, r.n),
-            default=None,
-        )
-        if showcase is not None:
-            v = bn_mukai_vector(BNInput(s, showcase.n, showcase.length))
-            m_max = showcase.n + args.margin
-            comps = classify_tf_components(s, v, m_max)
-            svg_path = os.path.join(args.out_dir, f"polygons_h2_{h2}.svg")
-            with open(svg_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(polygon_svg(s, v, comps, m_max))
-            print(f"h2={h2}: polygons of v={v.triple()} -> {svg_path}")
+    try:
+        write_artifacts(grid, args.out_dir)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
     records = sweep(grid, 1, -1)
     for threshold in (1, -1):

@@ -178,14 +178,20 @@ def cmd_polygon(args, config: dict) -> int:
 
 
 def cmd_verify(args, config: dict) -> int:
-    h2s = tuple(args.h2) if args.h2 else DEFAULT_GRID.h_squared_values
+    if args.h2:
+        h2s = tuple(args.h2)
+    elif "h2" in config:
+        h2s = (config["h2"],)
+    else:
+        h2s = DEFAULT_GRID.h_squared_values
     grid = GridSpec(
         h2s,
         _parse_range(args.n_range),
         _parse_range(args.N_range),
         args.margin,
     )
-    thresholds = [args.threshold] if args.threshold is not None else [1, -1]
+    threshold = _setting(args.threshold, config, "threshold")
+    thresholds = [threshold] if threshold is not None else [1, -1]
     records = sweep(grid, *thresholds)
     for threshold in thresholds:
         mine = [r for r in records if r.threshold == threshold]
@@ -245,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     poly.set_defaults(func=cmd_polygon)
 
     verify = sub.add_parser("verify", help="sweep the oracle grid and report discrepancies")
-    verify.add_argument("--h2", type=int, action="append", help="repeatable; default 2 4 6")
+    verify.add_argument("--h2", type=int, action="append", help="repeatable; default: the config h2, else 2 4 6")
     verify.add_argument("--n-range", default="0..8")
     verify.add_argument("--N-range", default="0..40")
     verify.add_argument("--margin", type=int, default=4, help="window above n at each point")
-    verify.add_argument("--threshold", type=int, help="default: check both 1 and -1")
+    verify.add_argument("--threshold", type=int, help="default: the config threshold, else both 1 and -1")
     verify.set_defaults(func=cmd_verify)
     return parser
 

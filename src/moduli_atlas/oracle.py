@@ -16,7 +16,16 @@ per-type dimensions the classifiers report (expanded `hn_runs`) against
 locus classification against `oracle_bn` and the component dimension
 identities are checked per threshold, classifying the point once for each.
 Grid points are independent of each other and records come back in grid
-order.  Nothing is cached between calls.
+order.
+
+Within one `sweep` call, each ideal-sheaf piece I_Z(deg*H) that the scan
+tries is built once per surface, together with its self-pairing, and reused
+at every point on that surface.  This is safe because a piece is a pure
+function of (H.H, deg, length), and the memo files it under exactly that,
+and because every candidate is still checked in full: both pieces are looked
+up, v1 + v2 == v is tested again, and the cross pairing <v1,v2> is computed
+afresh.  The memo is a local of `sweep`, dropped when it moves to the next
+surface; nothing is cached at module level or between calls.
 """
 
 from __future__ import annotations
@@ -95,40 +104,55 @@ class Discrepancy:
     oracle: object
 
 
-def oracle_strata(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int, int]]:
+def oracle_strata(
+    s: Surface, v: MukaiVector, m_max: int, pieces: dict | None = None
+) -> list[tuple[int, int, int, int]]:
     """Brute-force scan for valid filtration types on v with m <= m_max.
 
     Scans sub-degrees from n - m_max upward so the slope bound is exercised,
-    not assumed, and re-verifies each candidate by rebuilding both pieces and
-    adding them.  Each hit (m, ell1, ell2, dim) carries the stratum dimension
-    <v1,v1> + <v2,v2> + <v1,v2> + 2 of those two pieces.
+    not assumed, and re-verifies each candidate by adding its two pieces.
+    Each hit (m, ell1, ell2, dim) carries the stratum dimension
+    <v1,v1> + <v2,v2> + <v1,v2> + 2 of those two pieces.  `pieces` memoizes
+    the pieces with their self-pairings (see `_pieces`); by default it
+    lasts for this call only.
     """
     n, h2 = v.deg, s.h_squared
     c2 = second_chern(s, v)
+    if pieces is None:
+        pieces = {}
     found: list[tuple[int, int, int, int]] = []
     for m in range(n - m_max, m_max + 1):
         quot_deg = n - m
         if m < quot_deg:
             continue
         budget = c2 - m * quot_deg * h2
+        subs = _pieces(s, m, budget, pieces)
+        quots = _pieces(s, quot_deg, budget, pieces)
         for ell1 in range(max(budget, -1) + 1):
             ell2 = budget - ell1
             if ell2 < 0:
                 continue
             if m == quot_deg and not ell1 < ell2:
                 continue
-            v1 = ideal_sheaf_vector(s, m, ell1)
-            v2 = ideal_sheaf_vector(s, quot_deg, ell2)
+            v1, p11 = subs[ell1]
+            v2, p22 = quots[ell2]
             if v1 + v2 != v:
                 continue
-            dim = (
-                mukai_pairing(s, v1, v1)
-                + mukai_pairing(s, v2, v2)
-                + mukai_pairing(s, v1, v2)
-                + 2
-            )
-            found.append((m, ell1, ell2, dim))
+            found.append((m, ell1, ell2, p11 + p22 + mukai_pairing(s, v1, v2) + 2))
     return found
+
+
+def _pieces(s: Surface, deg: int, top: int, pieces: dict) -> list[tuple[MukaiVector, int]]:
+    """The vectors of I_Z(deg*H) for lengths 0..top, each with its self-pairing.
+
+    `pieces` maps (H.H, deg) to that list, indexed by length, and is
+    extended in place, so one dict may serve several surfaces and scans.
+    """
+    row = pieces.setdefault((s.h_squared, deg), [])
+    for length in range(len(row), top + 1):
+        w = ideal_sheaf_vector(s, deg, length)
+        row.append((w, mukai_pairing(s, w, w)))
+    return row
 
 
 def oracle_enumerate(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int]]:
@@ -219,17 +243,19 @@ def _main_summary(report) -> BnSummary:
     return BnSummary(report.verdict, alpha_count, beta, dims)
 
 
-def _type_checks(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[str, object, object]]:
+def _type_checks(
+    s: Surface, v: MukaiVector, m_max: int, pieces: dict
+) -> list[tuple[str, object, object]]:
     """The threshold-independent checks at one point, as (check, main, oracle).
 
     The types of the expanded hn_runs, each with its run's dimension, are
     compared with oracle_strata: the triples as a list (`enumeration`), and
     the dimension of every type both sides list (`stratum_dimension`).  Each
     run's dimension is also compared with dim_hn_closed_form on its first
-    type (`dim_formula[m]`).
+    type (`dim_formula[m]`).  `pieces` is the memo oracle_strata fills.
     """
     runs = hn_runs(s, v, m_max)
-    strata = oracle_strata(s, v, m_max)
+    strata = oracle_strata(s, v, m_max, pieces)
     main = [(*t, r.dimension) for r in runs for t in r.triples()]
     found: list[tuple[str, object, object]] = []
     if main != strata:
@@ -261,6 +287,11 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     threshold.  Records come back threshold by threshold, in the order given,
     each in grid order, so the result equals the concatenation of one sweep
     per threshold.
+
+    One memo of ideal-sheaf pieces and their self-pairings serves every
+    point on a surface and is dropped when the sweep moves to the next
+    surface; each candidate type is still re-checked and its cross pairing
+    computed afresh, so the records equal those of memo-free scans.
     """
     if not thresholds:
         raise ValueError("no threshold to sweep")
@@ -269,11 +300,12 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     len_lo, len_hi = grid.length_range
     for h2 in grid.h_squared_values:
         s = Surface(h2)
+        pieces: dict = {}
         for n in range(n_lo, n_hi + 1):
             m_max = n + grid.m_margin
             for length in range(len_lo, len_hi + 1):
                 inp = BNInput(s, n, length)
-                shared = _type_checks(s, bn_mukai_vector(inp), m_max)
+                shared = _type_checks(s, bn_mukai_vector(inp), m_max, pieces)
                 for threshold, records in zip(thresholds, per_threshold):
                     report = classify_bn(inp, threshold)
                     main = _main_summary(report)

@@ -282,6 +282,27 @@ def test_verify_reports_discrepancies(capsys, monkeypatch):
     assert "0 discrepancies" not in out
 
 
+def test_verify_takes_h2_and_threshold_from_config(capsys, tmp_path, monkeypatch):
+    import moduli_atlas.cli as cli
+
+    swept = []
+
+    def spy(grid, *thresholds):
+        swept.append((grid.h_squared_values, thresholds))
+        return []
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    grid_flags = ("verify", "--n-range", "0..1", "--N-range", "0..2")
+    run(capsys, *grid_flags)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h2": 4, "threshold": -1}))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, out, _ = run(capsys, *grid_flags)
+    assert code == EXIT_OK and out == "threshold -1: 0 discrepancies\n"
+    run(capsys, *grid_flags, "--h2", "2", "--h2", "6", "--threshold", "1")
+    assert swept == [((2, 4, 6), (1, -1)), ((4,), (-1,)), ((2, 6), (1,))]
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h2": 4, "format": "json", "threshold": 1}))

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moduli_atlas.brill_noether import BNInput, classify_bn
 from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types
@@ -186,9 +187,9 @@ def test_sweep_runs_the_oracle_once_per_point(monkeypatch):
     calls = []
     honest = oracle.oracle_strata
 
-    def counting(s, v, m_max):
+    def counting(s, v, m_max, *pieces):
         calls.append((s, v, m_max))
-        return honest(s, v, m_max)
+        return honest(s, v, m_max, *pieces)
 
     monkeypatch.setattr(oracle, "oracle_strata", counting)
     grid = GridSpec((2, 4), (0, 4), (0, 12))
@@ -198,6 +199,73 @@ def test_sweep_runs_the_oracle_once_per_point(monkeypatch):
     calls.clear()
     assert sweep(grid, 1, -1) == []
     assert calls == first
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(windowed_contexts(), min_size=1, max_size=6))
+def test_shared_piece_memo_changes_no_result(contexts):
+    # one memo across calls, vectors and surfaces gives what fresh scans give
+    pieces = {}
+    for s, v, m_max in contexts:
+        assert oracle_strata(s, v, m_max, pieces) == oracle_strata(s, v, m_max)
+
+
+def test_sweep_memo_hides_no_seeded_lattice_fault(monkeypatch):
+    import moduli_atlas.oracle as oracle
+
+    grid = GridSpec((2, 4), (0, 4), (0, 12))
+    honest_vector, honest_pairing = oracle.ideal_sheaf_vector, oracle.mukai_pairing
+
+    def shifted_vector(s, deg, length):
+        w = honest_vector(s, deg, length)
+        return MukaiVector(w.rank, w.deg, w.a + 1) if length == 3 else w
+
+    def shifted_cross_pairing(s, v, w):
+        return honest_pairing(s, v, w) + (v != w and v.deg == 2)
+
+    monkeypatch.setattr(oracle, "ideal_sheaf_vector", shifted_vector)
+    records = sweep(grid, 1, -1)
+    assert len(records) == 260 and {r.check for r in records} == {"enumeration"}
+    monkeypatch.undo()
+
+    monkeypatch.setattr(oracle, "mukai_pairing", shifted_cross_pairing)
+    checks = [r.check.split("(")[0] for r in sweep(grid, 1, -1)]
+    assert (checks.count("stratum_dimension"), checks.count("bn_summary")) == (2160, 21)
+    assert len(checks) == 2160 + 21
+    monkeypatch.undo()
+
+    assert sweep(grid, 1, -1) == []
+
+
+def test_scans_cache_nothing_between_calls(monkeypatch):
+    # a second identical scan builds every piece again and leaves no state
+    import copy
+
+    import moduli_atlas.oracle as oracle
+
+    def snapshot():
+        return {k: copy.copy(v) if isinstance(v, (dict, list, set)) else v
+                for k, v in vars(oracle).items()}
+
+    built = []
+    honest = oracle.ideal_sheaf_vector
+
+    def building(s, deg, length):
+        built.append((s.h_squared, deg, length))
+        return honest(s, deg, length)
+
+    monkeypatch.setattr(oracle, "ideal_sheaf_vector", building)
+    before = snapshot()
+    for scan in (
+        lambda: sweep(GridSpec((2, 4), (0, 3), (0, 8)), 1, -1),
+        lambda: oracle_strata(S2, MukaiVector(2, 3, 5), 3),
+    ):
+        first, first_built = scan(), list(built)
+        built.clear()
+        assert scan() == first
+        assert built == first_built != []
+        built.clear()
+    assert snapshot() == before
 
 
 def test_sweep_thresholds_concatenate_single_sweeps(monkeypatch):

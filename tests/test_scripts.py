@@ -39,3 +39,23 @@ def test_sweep_report_rejects_bad_input(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+def _file_in_the_way(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "sub"
+
+
+def _csv_path_taken(tmp_path):
+    (tmp_path / "out" / "scan_h2_2.csv").mkdir(parents=True)
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize(
+    "out_dir", [_file_in_the_way, _csv_path_taken], ids=["makedirs", "write"]
+)
+def test_sweep_report_maps_io_errors_to_exit_four(tmp_path, capsys, out_dir):
+    argv = ["--h2", "2", "--n-max", "1", "--N-max", "2", "--out-dir", str(out_dir(tmp_path))]
+    assert load_script("sweep_report").main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
