@@ -16,9 +16,9 @@ import sys
 from moduli_atlas.brill_noether import BNInput, bn_mukai_vector
 from moduli_atlas.lattice import Surface
 from moduli_atlas.oracle import GridSpec, sweep
-from moduli_atlas.polygon import polygon_svg
+from moduli_atlas.polygon import write_polygon_svg
 from moduli_atlas.report import render_scan_csv, scan_rows
-from moduli_atlas.torsion_free import classify_tf_components
+from moduli_atlas.torsion_free import tf_listings
 
 
 def write_artifacts(grid, out_dir):
@@ -42,10 +42,9 @@ def write_artifacts(grid, out_dir):
         if showcase is not None:
             v = bn_mukai_vector(BNInput(s, showcase.n, showcase.length))
             m_max = showcase.n + grid.m_margin
-            comps = classify_tf_components(s, v, m_max)
             svg_path = os.path.join(out_dir, f"polygons_h2_{h2}.svg")
             with open(svg_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(polygon_svg(s, v, comps, m_max))
+                write_polygon_svg(handle.write, s, v, tf_listings(s, v, m_max), m_max)
             print(f"h2={h2}: polygons of v={v.triple()} -> {svg_path}")
 
 

@@ -5,9 +5,12 @@ strata of the stack of rank-2 torsion-free sheaves with a given vector, and
 `classify_bn` lists the irreducible components of the locus of length-N
 subschemes whose twisted ideal sheaf has a nonvanishing h^1.  Both list one
 `ComponentRecord` per stratum or component, with its filtration type
-(m, ell1, ell2) and its exact stack or locus dimension; the report renderers
-print these records as they are.  `oracle.sweep` cross-checks the
-classifiers against independent brute-force recomputations.
+(m, ell1, ell2) and its exact stack or locus dimension.  They expand the
+classifiers' listings (`tf_listings`, `bn_listings`): one per sub-degree m,
+whose components share one dimension and one set of flags.  The report
+writers print the listings as they are, run by run, so a report costs what
+its bytes cost.  `oracle.sweep` cross-checks the classifiers against
+independent brute-force recomputations.
 """
 
 from .brill_noether import (
@@ -16,7 +19,9 @@ from .brill_noether import (
     VERDICT_COMPONENTS,
     VERDICT_EMPTY,
     VERDICT_WHOLE,
+    bn_listings,
     bn_mukai_vector,
+    bn_runs,
     classify_bn,
     exceptional,
 )
@@ -56,6 +61,7 @@ from .torsion_free import (
     classify_tf_components,
     dim_mss,
     mss_nonempty,
+    tf_listings,
 )
 from .version import VERSION
 
@@ -84,6 +90,7 @@ __all__ = [
     "mss_nonempty",
     "dim_mss",
     "classify_tf_components",
+    "tf_listings",
     "BNInput",
     "BNReport",
     "VERDICT_WHOLE",
@@ -92,6 +99,8 @@ __all__ = [
     "bn_mukai_vector",
     "exceptional",
     "classify_bn",
+    "bn_runs",
+    "bn_listings",
     "GridSpec",
     "DEFAULT_GRID",
     "BnSummary",

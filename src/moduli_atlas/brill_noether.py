@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hn import ComponentRecord, HNRun, hn_runs
+from .hn import ComponentRecord, HNRun, expand_listings, hn_runs, run_listing
 from .lattice import (
     MukaiVector,
     Surface,
@@ -49,6 +49,7 @@ __all__ = [
     "bn_mukai_vector",
     "exceptional",
     "bn_runs",
+    "bn_listings",
     "classify_bn",
 ]
 
@@ -138,26 +139,33 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
     return BNRuns(verdict, hilb_dim, v, is_exc, chi, beta, tuple(alphas))
 
 
+def bn_listings(runs: BNRuns) -> list[tuple]:
+    """The components of `classify_bn` as listings: beta, then one per alpha run.
+
+    Each alpha run's dimension, codimension and `threshold_sensitive` flag
+    (pairing 0 or 1) are worked out once for the whole run.
+    """
+    hilb_dim = runs.hilb_dimension
+    out: list[tuple] = []
+    if runs.beta_dimension is not None:
+        dim = runs.beta_dimension
+        out.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
+    for run in runs.alpha_runs:
+        dim = run.dimension + runs.chi
+        out.append(run_listing("alpha", dim, hilb_dim - dim, None, run.pairing in (0, 1), run))
+    return out
+
+
 def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
     """Classify the components of W inside Hilb^length, exactly.
 
     The unstable search window is intrinsic (n > m > n/2 - 1 is finite), so
     unlike the torsion-free classifier no m_max is needed; the output is
-    complete.  Components are listed beta first, then alphas by (m, ell1).
+    complete.  Components are listed beta first, then alphas by (m, ell1):
+    the expansion of `bn_listings`.
     """
     runs = bn_runs(inp, threshold)
-    hilb_dim = runs.hilb_dimension
-    comps: list[ComponentRecord] = []
-    if runs.beta_dimension is not None:
-        dim = runs.beta_dimension
-        comps.append(ComponentRecord("beta", None, dim, hilb_dim - dim, None, False))
-    for run in runs.alpha_runs:
-        dim = run.dimension + runs.chi
-        sensitive = run.pairing in (0, 1)
-        comps.extend(
-            ComponentRecord("alpha", t, dim, hilb_dim - dim, None, sensitive)
-            for t in run.triples()
-        )
+    comps = tuple(expand_listings(bn_listings(runs)))
     return BNReport(
-        runs.verdict, hilb_dim, tuple(comps), runs.mukai_vector, runs.exceptional_case
+        runs.verdict, runs.hilb_dimension, comps, runs.mukai_vector, runs.exceptional_case
     )

@@ -14,21 +14,19 @@ import json
 import os
 import sys
 
-from .brill_noether import BNInput, classify_bn
+from .brill_noether import BNInput, bn_listings, bn_runs
 from .lattice import MukaiVector, Surface
 from .oracle import DEFAULT_GRID, GridSpec, sweep
-from .polygon import polygon_svg
+from .polygon import write_polygon_svg
 from .report import (
-    bn_record,
-    render_csv,
-    render_json,
+    WRITERS,
+    bn_head,
     render_scan_csv,
     render_scan_json,
-    render_text,
     scan_rows,
-    tf_record,
+    tf_head,
 )
-from .torsion_free import DEFAULT_THRESHOLD, classify_tf_components
+from .torsion_free import DEFAULT_THRESHOLD, tf_listings
 from .version import VERSION
 
 EXIT_OK = 0
@@ -108,24 +106,23 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"invalid range {text!r}: expected integers") from None
 
 
-def _render_record(record, fmt: str) -> str:
-    if fmt == "text":
-        return render_text(record)
-    if fmt == "json":
-        return render_json(record)
-    if fmt == "csv":
-        return render_csv(record)
-    raise ValueError(f"unknown format {fmt!r}")
+def _report_writer(args, config: dict):
+    fmt = _setting(args.format, config, "format", "text")
+    if fmt not in WRITERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return WRITERS[fmt]
 
 
-def _write_output(args, config: dict, content: str) -> str:
+def _output_path(args, config: dict) -> str:
     path = args.out
     out_dir = config.get("out_dir")
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
     return path
+
+
+# classify-tf and classify-bn run every check before their first write, so a
+# failed command prints nothing to stdout; the report then goes out run by run.
 
 
 def cmd_classify_tf(args, config: dict) -> int:
@@ -133,10 +130,12 @@ def cmd_classify_tf(args, config: dict) -> int:
     v = _vector(args, s)
     m_max = _window(args, config, v.deg)
     threshold = _threshold(args, config)
-    comps = classify_tf_components(s, v, m_max, threshold)
-    record = tf_record(s, v, comps, m_max, threshold, include_absorbed=args.verbose)
-    fmt = _setting(args.format, config, "format", "text")
-    sys.stdout.write(_render_record(record, fmt))
+    writer = _report_writer(args, config)
+    listings = tf_listings(s, v, m_max, threshold)
+    present = bool(listings) and listings[0][0] == "semistable"
+    if not args.verbose:
+        listings = [listing for listing in listings if not listing[3]]  # absorbed
+    writer(sys.stdout.write, tf_head(s, v, m_max, threshold, present), listings)
     return EXIT_OK
 
 
@@ -144,9 +143,9 @@ def cmd_classify_bn(args, config: dict) -> int:
     s = _surface(args, config)
     threshold = _threshold(args, config)
     inp = BNInput(s, args.n, args.N)
-    record = bn_record(inp, classify_bn(inp, threshold), threshold)
-    fmt = _setting(args.format, config, "format", "text")
-    sys.stdout.write(_render_record(record, fmt))
+    runs = bn_runs(inp, threshold)
+    writer = _report_writer(args, config)
+    writer(sys.stdout.write, bn_head(inp, runs, threshold), bn_listings(runs))
     return EXIT_OK
 
 
@@ -161,7 +160,9 @@ def cmd_scan(args, config: dict) -> int:
         content = render_scan_json(rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    path = _write_output(args, config, content)
+    path = _output_path(args, config)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(content)
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
@@ -171,8 +172,10 @@ def cmd_polygon(args, config: dict) -> int:
     v = _vector(args, s)
     m_max = _window(args, config, v.deg)
     threshold = _threshold(args, config)
-    comps = classify_tf_components(s, v, m_max, threshold)
-    path = _write_output(args, config, polygon_svg(s, v, comps, m_max))
+    listings = tf_listings(s, v, m_max, threshold)
+    path = _output_path(args, config)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        write_polygon_svg(handle.write, s, v, listings, m_max)
     print(f"polygon -> {path}")
     return EXIT_OK
 

@@ -33,6 +33,17 @@ bounds on ell1: the length budget gives 0 <= ell1 <= b, the equal-slope
 order ell1 < ell2 gives ell1 <= (b - 1)/2, and the Brill-Noether quotient
 cap ell2 <= cap gives ell1 >= b - cap.  Classifiers therefore work per m and
 only list types when they must report them one by one.
+
+Listings.  What a classifier reports for one run is a plain tuple
+
+    (kind, dimension, codimension, absorbed, threshold_sensitive, m, ell1s, ell2s)
+
+whose first five entries are the fields every component of the run shares,
+worked out once per run, and whose ell1s and ell2s are equal-length
+sequences of the lengths (for a run, two ranges: `run_listing`).  An untyped entry (the semistable or
+the beta component) has m = ell1s = ell2s = None and stands for one
+component.  The report writers print listings as they are, and
+`expand_listings` turns them into the `ComponentRecord`s of the library API.
 """
 
 from __future__ import annotations
@@ -53,6 +64,9 @@ __all__ = [
     "HNRun",
     "ComponentRecord",
     "SEMISTABLE",
+    "run_listing",
+    "expand_listings",
+    "format_types",
     "make_hn_type",
     "hn_runs",
     "enumerate_hn_types",
@@ -134,6 +148,56 @@ class ComponentRecord:
         # bench/tracing.py counts the alpha components of `classify_bn`
         # results by `c.hn_type is not None`; drop it once that reads `triple`.
         return self.triple
+
+
+def run_listing(
+    kind: str,
+    dimension: int,
+    codimension: int | None,
+    absorbed: bool | None,
+    threshold_sensitive: bool | None,
+    run: HNRun,
+) -> tuple:
+    """The listing of every type of `run`, sharing the given fields."""
+    lo, hi, budget = run.ell1_lo, run.ell1_hi, run.budget
+    return (
+        kind, dimension, codimension, absorbed, threshold_sensitive,
+        run.m, range(lo, hi + 1), range(budget - lo, budget - hi - 1, -1),
+    )
+
+
+def expand_listings(listings) -> list[ComponentRecord]:
+    """One `ComponentRecord` per component the listings stand for, in order."""
+    out: list[ComponentRecord] = []
+    for kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s in listings:
+        if m is None:
+            out.append(ComponentRecord(kind, None, dim, codim, absorbed, sensitive))
+        else:
+            out.extend(
+                ComponentRecord(kind, (m, ell1, ell2), dim, codim, absorbed, sensitive)
+                for ell1, ell2 in zip(ell1s, ell2s)
+            )
+    return out
+
+
+# types per piece of a listing that `format_types` formats at once
+_BLOCK = 4096
+
+
+def format_types(
+    before: str, mid: str, after: str, ell1s, ell2s, sep: str = ""
+) -> Iterator[str]:
+    """`before + ell1 + mid + ell2 + after` for each type of a listing, joined by `sep`.
+
+    Yields the text in pieces of at most `_BLOCK` types, which the caller joins
+    by `sep` too, so memory stays bounded however long a run is.  Only the
+    two lengths are formatted per type; the parts a listing shares are put
+    in between by one `str.join` per piece.
+    """
+    glue = after + sep + before
+    for i in range(0, len(ell1s), _BLOCK):
+        block = zip(ell1s[i : i + _BLOCK], ell2s[i : i + _BLOCK])
+        yield before + glue.join([f"{ell1}{mid}{ell2}" for ell1, ell2 in block]) + after
 
 
 class _SemistablePolygon:

@@ -10,71 +10,84 @@ higher degree plots higher), and the output bytes depend only on the input.
 
 from __future__ import annotations
 
-from .hn import ComponentRecord
+from .hn import format_types
 from .lattice import MukaiVector, Surface
 
-__all__ = ["polygon_svg"]
+__all__ = ["polygon_svg", "write_polygon_svg"]
 
 _X_STEP = 120
 _Y_STEP = 6
 _PALETTE = ("#1b6ca8", "#c43f3f", "#3f9d4e", "#8e4fb0", "#c28b1e", "#4f7f8b")
+_FONT = 'font-family="monospace"'
 
 
-def _shell(header: str, body: list[str], top: int, bottom: int, width: int) -> str:
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-40 {top} {width} {bottom - top}">',
-        f'<text x="0" y="{top + 20}" font-size="14" font-family="monospace">{header}</text>',
-    ]
-    lines.extend(body)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+def _open(write, header: str, top: int, bottom: int, width: int) -> None:
+    write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-40 {top} {width} {bottom - top}">\n'
+        f'<text x="0" y="{top + 20}" font-size="14" {_FONT}>{header}</text>\n'
+    )
 
 
-def polygon_svg(
-    s: Surface, v: MukaiVector, components: list[ComponentRecord], m_max: int
-) -> str:
-    """Overlay of the polygons of all non-absorbed components of the stack."""
+def write_polygon_svg(write, s: Surface, v: MukaiVector, listings: list[tuple], m_max: int) -> None:
+    """Overlay of the polygons of all non-absorbed strata of the stack.
+
+    `listings` are those of `torsion_free.tf_listings`: one per sub-degree,
+    so each listing's label in the legend is formatted in one piece.  The
+    labels are made before anything is written, because the widest one sets
+    the width of the picture.
+    """
     h2 = s.h_squared
     n = v.deg
     header = f"h2={h2} v=({v.rank}, {v.deg}, {v.a}) window m&lt;={m_max}"
-    chord = any(c.kind == "semistable" for c in components)
-    by_m: dict[int, list[tuple[int, int, int]]] = {}
-    for c in components:
-        if c.triple is not None and not c.absorbed:
-            by_m.setdefault(c.triple[0], []).append(c.triple)
-    if not chord and not by_m:
-        return _shell(header, ['<text x="0" y="60" font-size="14" font-family="monospace">no components in window</text>'], 0, 100, 560)
+    chord = any(listing[0] == "semistable" for listing in listings)
+    kept = [
+        (m, ell1s, ell2s)
+        for _, _, _, absorbed, _, m, ell1s, ell2s in listings
+        if m is not None and not absorbed
+    ]
+    if not chord and not kept:
+        _open(write, header, 0, 100, 560)
+        write(f'<text x="0" y="60" font-size="14" {_FONT}>no components in window</text>\n</svg>\n')
+        return
 
-    ms = sorted(by_m)
-    y_values = [0, n * h2] + [m * h2 for m in ms]
+    legend = [("#000000", "semistable: straight chord")] if chord else []
+    legend += [
+        (_color(i), f"m={m}: " + " ".join(format_types(f"({m}, ", ", ", ")", ell1s, ell2s, " ")))
+        for i, (m, ell1s, ell2s) in enumerate(kept)
+    ]
+    y_values = [0, n * h2] + [m * h2 for m, _, _ in kept]
     y_hi = -max(y_values) * _Y_STEP  # smallest svg y of the plot
     y_lo = -min(y_values) * _Y_STEP
-
-    legend: list[tuple[str, str]] = []
-    if chord:
-        legend.append(("#000000", "semistable: straight chord"))
-    body: list[str] = []
-    if chord:
-        body.append(
-            f'<line x1="0" y1="0" x2="{2 * _X_STEP}" y2="{-n * h2 * _Y_STEP}" '
-            'stroke="#000000" stroke-width="2" stroke-dasharray="6 4"/>'
-        )
-    for i, m in enumerate(ms):
-        color = _PALETTE[i % len(_PALETTE)]
-        body.append(
-            f'<polyline points="0,0 {_X_STEP},{-m * h2 * _Y_STEP} {2 * _X_STEP},{-n * h2 * _Y_STEP}" '
-            f'fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        triples = " ".join(str(t) for t in by_m[m])
-        legend.append((color, f"m={m}: {triples}"))
-
     legend_top = y_lo + 30
-    for i, (color, label) in enumerate(legend):
-        body.append(
-            f'<text x="0" y="{legend_top + 18 * i}" font-size="13" '
-            f'font-family="monospace" fill="{color}">{label}</text>'
-        )
     top = y_hi - 50
     bottom = legend_top + 18 * len(legend) + 20
     width = max(560, 40 + 8 * max(len(label) for _, label in legend))
-    return _shell(header, body, top, bottom, width)
+    _open(write, header, top, bottom, width)
+    end = f"{2 * _X_STEP},{-n * h2 * _Y_STEP}"
+    if chord:
+        write(
+            f'<line x1="0" y1="0" x2="{2 * _X_STEP}" y2="{-n * h2 * _Y_STEP}" '
+            'stroke="#000000" stroke-width="2" stroke-dasharray="6 4"/>\n'
+        )
+    for i, (m, _, _) in enumerate(kept):
+        write(
+            f'<polyline points="0,0 {_X_STEP},{-m * h2 * _Y_STEP} {end}" '
+            f'fill="none" stroke="{_color(i)}" stroke-width="2"/>\n'
+        )
+    for i, (color, label) in enumerate(legend):
+        write(
+            f'<text x="0" y="{legend_top + 18 * i}" font-size="13" '
+            f'{_FONT} fill="{color}">{label}</text>\n'
+        )
+    write("</svg>\n")
+
+
+def _color(i: int) -> str:
+    return _PALETTE[i % len(_PALETTE)]
+
+
+def polygon_svg(s: Surface, v: MukaiVector, listings: list[tuple], m_max: int) -> str:
+    """`write_polygon_svg` as one string."""
+    parts: list[str] = []
+    write_polygon_svg(parts.append, s, v, listings, m_max)
+    return "".join(parts)

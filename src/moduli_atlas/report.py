@@ -1,14 +1,25 @@
-"""Report records and their text, JSON and CSV renderings.
+"""Report heads, listings and their text, JSON and CSV writers.
 
-A `ReportRecord` is a flat, immutable snapshot of one classifier run: input
-echo, enumeration window, threshold, tool version, and the component list.
-JSON output carries a schema tag and round-trips exactly through
+A report is a head (input echo, verdict, enumeration window, threshold, tool
+version, notes) and the classifier's listings (see `hn`): one per run, with
+the fields its components share, plus the untyped semistable or beta entry.
+Each format has one writer, `write_text`, `write_csv` or `write_json`, that
+formats every listing's shared part once and hands the listing's lines to
+`write` in a few large pieces (`hn.format_types`), so the command line
+prints a report run by run without building a record per component or the
+whole document.
+
+A `ReportRecord` is the same report as one flat, immutable snapshot with a
+`ComponentRecord` per component; `render_text`, `render_csv` and
+`render_json` run the same writers on it and collect the pieces into a
+string.  JSON output carries a schema tag and round-trips exactly through
 `parse_json(render_json(r)) == r`; all renderings are byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .brill_noether import (
@@ -18,7 +29,7 @@ from .brill_noether import (
     VERDICT_WHOLE,
     bn_runs,
 )
-from .hn import ComponentRecord
+from .hn import ComponentRecord, format_types
 from .lattice import MukaiVector, Surface
 from .version import VERSION
 
@@ -28,8 +39,14 @@ __all__ = [
     "ComponentRecord",
     "ReportRecord",
     "ScanRow",
+    "tf_head",
+    "bn_head",
     "tf_record",
     "bn_record",
+    "write_text",
+    "write_csv",
+    "write_json",
+    "WRITERS",
     "render_json",
     "parse_json",
     "render_csv",
@@ -67,6 +84,27 @@ class ReportRecord:
     components: tuple[ComponentRecord, ...]
 
 
+# A head is a tuple of the ReportRecord fields before `components`, in order.
+
+
+def tf_head(
+    s: Surface, v: MukaiVector, m_max: int, threshold: int, semistable_present: bool
+) -> tuple:
+    """Head of a torsion-free report; notes an empty semistable locus."""
+    notes = () if semistable_present else (NOTE_SEMISTABLE_EMPTY,)
+    return ("torsion-free", s.h_squared, v.triple(), None, None, None, None, m_max,
+            threshold, VERSION, notes)
+
+
+def bn_head(inp: BNInput, rep, threshold: int) -> tuple:
+    """Head of a Brill-Noether report; `rep` is a `BNReport` or a `BNRuns`."""
+    notes = ()
+    if rep.exceptional_case and rep.verdict != VERDICT_WHOLE:
+        notes = (NOTE_EXCEPTIONAL,)
+    return ("brill-noether", inp.surface.h_squared, rep.mukai_vector.triple(), inp.n,
+            inp.length, rep.verdict, rep.hilb_dimension, None, threshold, VERSION, notes)
+
+
 def tf_record(
     s: Surface,
     v: MukaiVector,
@@ -77,42 +115,15 @@ def tf_record(
 ) -> ReportRecord:
     """Record for a torsion-free classification; absorbed strata are hidden
     unless `include_absorbed` (they are not irreducible components)."""
-    semistable_present = bool(components) and components[0].kind == "semistable"
-    notes = () if semistable_present else (NOTE_SEMISTABLE_EMPTY,)
+    present = bool(components) and components[0].kind == "semistable"
     return ReportRecord(
-        "torsion-free",
-        s.h_squared,
-        v.triple(),
-        None,
-        None,
-        None,
-        None,
-        m_max,
-        threshold,
-        VERSION,
-        notes,
+        *tf_head(s, v, m_max, threshold, present),
         tuple(c for c in components if include_absorbed or not c.absorbed),
     )
 
 
 def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
-    notes = ()
-    if rep.exceptional_case and rep.verdict != VERDICT_WHOLE:
-        notes = (NOTE_EXCEPTIONAL,)
-    return ReportRecord(
-        "brill-noether",
-        inp.surface.h_squared,
-        rep.mukai_vector.triple(),
-        inp.n,
-        inp.length,
-        rep.verdict,
-        rep.hilb_dimension,
-        None,
-        threshold,
-        VERSION,
-        notes,
-        rep.components,
-    )
+    return ReportRecord(*bn_head(inp, rep, threshold), rep.components)
 
 
 def from_dict(d: dict) -> ReportRecord:
@@ -145,6 +156,24 @@ def from_dict(d: dict) -> ReportRecord:
     )
 
 
+def _record_listings(components) -> list[tuple]:
+    """One single-component listing per record."""
+    out = []
+    for c in components:
+        shared = (c.kind, c.dimension, c.codimension, c.absorbed, c.threshold_sensitive)
+        if c.triple is None:
+            out.append((*shared, None, None, None))
+        else:
+            m, ell1, ell2 = c.triple
+            out.append((*shared, m, (ell1,), (ell2,)))
+    return out
+
+
+def _size(listing: tuple) -> int:
+    """How many components a listing stands for."""
+    return 1 if listing[5] is None else len(listing[6])
+
+
 # The JSON documents are written from fixed templates that reproduce
 # `json.dumps(doc, indent=2, sort_keys=True) + "\n"` byte for byte, because
 # `json.dumps` takes its pure-Python encoder when it indents.  Keys are in
@@ -153,6 +182,8 @@ def from_dict(d: dict) -> ReportRecord:
 
 # Only for the bool-or-None fields: 1 == True, so an int would print as true.
 _LITERAL = {None: "null", True: "true", False: "false"}
+
+_JSON_SEP = ",\n    "  # between two entries of a top-level list
 
 
 def _scalar(x: int | bool | None) -> str:
@@ -164,49 +195,60 @@ def _scalar(x: int | bool | None) -> str:
 
 def _list(items: list[str]) -> str:
     """A list value of the top-level object: `[]`, or one rendered item a line."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    return "[\n    " + _JSON_SEP.join(items) + "\n  ]" if items else "[]"
 
 
-def _component_json(c: ComponentRecord) -> str:
-    if c.triple is None:
-        typ = "null"
-    else:
-        m, ell1, ell2 = c.triple
-        typ = f"[\n        {m},\n        {ell1},\n        {ell2}\n      ]"
-    return (
+# Each `_<format>_entries` gives a listing's text in pieces (see
+# `hn.format_types`); pieces of JSON entries are separated by `_JSON_SEP`.
+
+
+def _json_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
+    before = (
         "{\n"
-        f'      "absorbed": {_LITERAL[c.absorbed]},\n'
-        f'      "codimension": {_scalar(c.codimension)},\n'
-        f'      "dimension": {c.dimension},\n'
-        f'      "kind": {json.dumps(c.kind)},\n'
-        f'      "threshold_sensitive": {_LITERAL[c.threshold_sensitive]},\n'
-        f'      "type": {typ}\n'
-        "    }"
+        f'      "absorbed": {_LITERAL[absorbed]},\n'
+        f'      "codimension": {_scalar(codim)},\n'
+        f'      "dimension": {dim},\n'
+        f'      "kind": {json.dumps(kind)},\n'
+        f'      "threshold_sensitive": {_LITERAL[sensitive]},\n'
+        '      "type": '
+    )
+    if m is None:
+        return (before + "null\n    }",)
+    return format_types(
+        f"{before}[\n        {m},\n        ", ",\n        ", "\n      ]\n    }",
+        ell1s, ell2s, _JSON_SEP,
     )
 
 
-def render_json(r: ReportRecord) -> str:
-    return (
-        "{\n"
-        f'  "N": {_scalar(r.length)},\n'
-        f'  "components": {_list([_component_json(c) for c in r.components])},\n'
-        f'  "h2": {r.h_squared},\n'
-        f'  "hilb_dimension": {_scalar(r.hilb_dimension)},\n'
-        f'  "kind": {json.dumps(r.kind)},\n'
-        f'  "n": {_scalar(r.n)},\n'
-        f'  "notes": {_list([json.dumps(x) for x in r.notes])},\n'
+def write_json(write, head: tuple, listings: list[tuple]) -> None:
+    kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
+    write(f'{{\n  "N": {_scalar(length)},\n  "components": ')
+    pieces = (piece for listing in listings for piece in _json_entries(*listing))
+    first = next(pieces, None)
+    if first is None:
+        write("[]")
+    else:
+        write("[\n    ")
+        write(first)
+        for piece in pieces:
+            write(_JSON_SEP)
+            write(piece)
+        write("\n  ]")
+    write(
+        ",\n"
+        f'  "h2": {h2},\n'
+        f'  "hilb_dimension": {_scalar(hilb_dim)},\n'
+        f'  "kind": {json.dumps(kind)},\n'
+        f'  "n": {_scalar(n)},\n'
+        f'  "notes": {_list([json.dumps(x) for x in notes])},\n'
         f'  "schema": {json.dumps(SCHEMA_REPORT)},\n'
-        f'  "threshold": {r.threshold},\n'
-        f'  "tool_version": {json.dumps(r.tool_version)},\n'
-        f'  "vector": {_list([str(x) for x in r.vector])},\n'
-        f'  "verdict": {"null" if r.verdict is None else json.dumps(r.verdict)},\n'
-        f'  "window": {_scalar(r.window)}\n'
+        f'  "threshold": {threshold},\n'
+        f'  "tool_version": {json.dumps(version)},\n'
+        f'  "vector": {_list([str(x) for x in vector])},\n'
+        f'  "verdict": {"null" if verdict is None else json.dumps(verdict)},\n'
+        f'  "window": {_scalar(window)}\n'
         "}\n"
     )
-
-
-def parse_json(text: str) -> ReportRecord:
-    return from_dict(json.loads(text))
 
 
 def _cell(x) -> str:
@@ -217,54 +259,90 @@ def _cell(x) -> str:
     return str(x)
 
 
-def render_csv(r: ReportRecord) -> str:
-    lines = [CSV_COLUMNS]
-    for c in r.components:
-        m, e1, e2 = c.triple if c.triple is not None else (None, None, None)
-        cells = (c.kind, m, e1, e2, c.dimension, c.codimension, c.absorbed, c.threshold_sensitive)
-        lines.append(",".join(_cell(x) for x in cells))
-    return "\n".join(lines) + "\n"
+def _csv_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
+    after = f",{_cell(dim)},{_cell(codim)},{_cell(absorbed)},{_cell(sensitive)}\n"
+    if m is None:
+        return (f"{_cell(kind)},,,{after}",)
+    return format_types(f"{_cell(kind)},{m},", ",", after, ell1s, ell2s)
 
 
-def render_text(r: ReportRecord) -> str:
-    lines = []
-    vec = "({}, {}, {})".format(*r.vector)
-    if r.kind == "torsion-free":
-        lines.append(
-            f"torsion-free stack  h2={r.h_squared}  v={vec}  window m<={r.window}  threshold={r.threshold}"
-        )
+def write_csv(write, head: tuple, listings: list[tuple]) -> None:
+    write(CSV_COLUMNS + "\n")
+    for listing in listings:
+        for piece in _csv_entries(*listing):
+            write(piece)
+
+
+def _text_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
+    # the untyped kinds print no triple: their listings are single entries
+    if kind == "semistable":
+        return (f"  semistable         stack dimension {dim}\n",)
+    if kind == "beta":
+        return (f"  beta               dimension {dim}  codimension {codim}\n",)
+    if kind == "hn":
+        before = "  type "
+        after = f"   stack dimension {dim}{'  [absorbed]' if absorbed else ''}\n"
     else:
-        lines.append(
-            f"locus in Hilb^{r.length}  h2={r.h_squared}  n={r.n}  v={vec}  threshold={r.threshold}"
-        )
-        if r.verdict == VERDICT_WHOLE:
-            lines.append(f"verdict: whole Hilbert scheme (dimension {r.hilb_dimension})")
-        elif r.verdict == VERDICT_COMPONENTS:
+        before = "  alpha "
+        tag = "  [threshold-sensitive]" if sensitive else ""
+        after = f"  dimension {dim}  codimension {codim}{tag}\n"
+    if m is None:
+        return (f"{before}None{after}",)
+    return format_types(f"{before}({m}, ", ", ", ")" + after, ell1s, ell2s)
+
+
+def write_text(write, head: tuple, listings: list[tuple]) -> None:
+    kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
+    vec = "({}, {}, {})".format(*vector)
+    count = sum(_size(listing) for listing in listings)
+    if kind == "torsion-free":
+        lines = [f"torsion-free stack  h2={h2}  v={vec}  window m<={window}  threshold={threshold}"]
+    else:
+        lines = [f"locus in Hilb^{length}  h2={h2}  n={n}  v={vec}  threshold={threshold}"]
+        if verdict == VERDICT_WHOLE:
+            lines.append(f"verdict: whole Hilbert scheme (dimension {hilb_dim})")
+        elif verdict == VERDICT_COMPONENTS:
             lines.append(
-                f"verdict: {len(r.components)} component(s) inside a Hilbert scheme of dimension {r.hilb_dimension}"
+                f"verdict: {count} component(s) inside a Hilbert scheme of dimension {hilb_dim}"
             )
         else:
             lines.append("verdict: empty locus")
-    for note in r.notes:
-        lines.append(f"note: {note}")
-    for c in r.components:
-        if c.kind == "semistable":
-            lines.append(f"  semistable         stack dimension {c.dimension}")
-        elif c.kind == "hn":
-            tag = "  [absorbed]" if c.absorbed else ""
-            lines.append(f"  type {c.triple}   stack dimension {c.dimension}{tag}")
-        elif c.kind == "beta":
-            lines.append(
-                f"  beta               dimension {c.dimension}  codimension {c.codimension}"
-            )
-        else:
-            tag = "  [threshold-sensitive]" if c.threshold_sensitive else ""
-            lines.append(
-                f"  alpha {c.triple}  dimension {c.dimension}  codimension {c.codimension}{tag}"
-            )
-    if r.kind == "torsion-free":
-        lines.append(f"{len(r.components)} component(s)")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"note: {note}" for note in notes)
+    write("\n".join(lines) + "\n")
+    for listing in listings:
+        for piece in _text_entries(*listing):
+            write(piece)
+    if kind == "torsion-free":
+        write(f"{count} component(s)\n")
+
+
+# format name -> writer(write, head, listings)
+WRITERS = {"text": write_text, "csv": write_csv, "json": write_json}
+
+
+def _render(writer, r: ReportRecord) -> str:
+    """What `writer` writes for the record, as one string."""
+    parts: list[str] = []
+    head = (r.kind, r.h_squared, r.vector, r.n, r.length, r.verdict, r.hilb_dimension,
+            r.window, r.threshold, r.tool_version, r.notes)
+    writer(parts.append, head, _record_listings(r.components))
+    return "".join(parts)
+
+
+def render_json(r: ReportRecord) -> str:
+    return _render(write_json, r)
+
+
+def render_csv(r: ReportRecord) -> str:
+    return _render(write_csv, r)
+
+
+def render_text(r: ReportRecord) -> str:
+    return _render(write_text, r)
+
+
+def parse_json(text: str) -> ReportRecord:
+    return from_dict(json.loads(text))
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,12 +18,13 @@ threshold; the threshold is a parameter with default 1 everywhere.
 
 from __future__ import annotations
 
-from .hn import ComponentRecord, hn_runs
+from .hn import ComponentRecord, expand_listings, hn_runs, run_listing
 from .lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
 
 __all__ = [
     "mss_nonempty",
     "dim_mss",
+    "tf_listings",
     "classify_tf_components",
 ]
 
@@ -50,6 +51,27 @@ def dim_mss(s: Surface, v: MukaiVector) -> int:
     return d
 
 
+def tf_listings(
+    s: Surface, v: MukaiVector, m_max: int, threshold: int = DEFAULT_THRESHOLD
+) -> list[tuple]:
+    """The strata of `classify_tf_components` as listings, one per run.
+
+    The semistable entry comes first when that locus is nonempty, then one
+    "hn" listing per run of `hn_runs`, whose `absorbed` flag is worked out
+    once for the whole run.
+    """
+    if v.rank != 2:
+        raise ValueError("unsupported rank")
+    nonempty = mss_nonempty(s, v)
+    out: list[tuple] = []
+    if nonempty:
+        out.append(("semistable", dim_mss(s, v), None, False, None, None, None, None))
+    for run in hn_runs(s, v, m_max):
+        absorbed = nonempty and run.pairing > threshold
+        out.append(run_listing("hn", run.dimension, None, absorbed, None, run))
+    return out
+
+
 def classify_tf_components(
     s: Surface, v: MukaiVector, m_max: int, threshold: int = DEFAULT_THRESHOLD
 ) -> list[ComponentRecord]:
@@ -61,16 +83,7 @@ def classify_tf_components(
     threshold.  Absorbed strata lie in the closure of the semistable locus and
     are not irreducible components; when that locus is empty every stratum is
     a genuine component and none is absorbed.  Dimensions are stack
-    dimensions.  Enlarging m_max only appends entries.
+    dimensions.  Enlarging m_max only appends entries.  This is the expansion
+    of `tf_listings`.
     """
-    if v.rank != 2:
-        raise ValueError("unsupported rank")
-    nonempty = mss_nonempty(s, v)
-    out: list[ComponentRecord] = []
-    if nonempty:
-        out.append(ComponentRecord("semistable", None, dim_mss(s, v), None, False, None))
-    for run in hn_runs(s, v, m_max):
-        absorbed = nonempty and run.pairing > threshold
-        dim = run.dimension
-        out.extend(ComponentRecord("hn", t, dim, None, absorbed, None) for t in run.triples())
-    return out
+    return expand_listings(tf_listings(s, v, m_max, threshold))

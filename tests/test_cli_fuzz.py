@@ -5,7 +5,9 @@ flag values (missing and repeated flags, empty or malformed ranges, odd or
 negative h2, non-integers), optionally with a config file of good and bad keys
 and value types.  Whatever is drawn, `main` must return one of the documented
 exit codes, and a failure must be reported as one `error:` line or as an
-argparse usage message, never as a traceback.  Sizes stay small (n <= 6,
+argparse usage message, never as a traceback.  A usage or domain error (exit
+2) must write nothing to stdout: reports are written piece by piece, so
+every check has to come before the first piece.  Sizes stay small (n <= 6,
 N <= 30, ranges of at most 4 x 10 points), and files are written only under a
 temporary directory.
 """
@@ -159,3 +161,6 @@ def test_cli_exits_cleanly_on_any_argv(tmp_path, argv, config):
     assert code in EXIT_CODES, (argv, config, code, err.getvalue())
     if code != 0:
         assert _is_clean_failure(err.getvalue()), (argv, config, err.getvalue())
+    if code == 2:
+        # every check runs before the first write, so a rejected command prints nothing
+        assert out.getvalue() == "", (argv, config, out.getvalue())

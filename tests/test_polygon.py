@@ -1,13 +1,13 @@
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.polygon import polygon_svg
-from moduli_atlas.torsion_free import classify_tf_components
+from moduli_atlas.torsion_free import tf_listings
 
 S2 = Surface(2)
 
 
 def _svg(v, m_max, threshold=1):
-    comps = classify_tf_components(S2, v, m_max, threshold)
-    return polygon_svg(S2, v, comps, m_max)
+    listings = tf_listings(S2, v, m_max, threshold)
+    return polygon_svg(S2, v, listings, m_max)
 
 
 def test_rigid_vector_picture():
