@@ -113,11 +113,15 @@ def _report_writer(args, config: dict):
     return WRITERS[fmt]
 
 
-def _output_path(args, config: dict) -> str:
+def _write_output(args, config: dict, fill) -> str:
+    """Open the --out file (relative paths under the config `out_dir`) and
+    let `fill(write)` write it."""
     path = args.out
     out_dir = config.get("out_dir")
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        fill(handle.write)
     return path
 
 
@@ -160,9 +164,7 @@ def cmd_scan(args, config: dict) -> int:
         content = render_scan_json(rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    path = _output_path(args, config)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
+    path = _write_output(args, config, lambda write: write(content))
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
@@ -173,9 +175,9 @@ def cmd_polygon(args, config: dict) -> int:
     m_max = _window(args, config, v.deg)
     threshold = _threshold(args, config)
     listings = tf_listings(s, v, m_max, threshold)
-    path = _output_path(args, config)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_polygon_svg(handle.write, s, v, listings, m_max)
+    path = _write_output(
+        args, config, lambda write: write_polygon_svg(write, s, v, listings, m_max)
+    )
     print(f"polygon -> {path}")
     return EXIT_OK
 

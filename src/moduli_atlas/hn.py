@@ -66,7 +66,6 @@ __all__ = [
     "SEMISTABLE",
     "run_listing",
     "expand_listings",
-    "format_types",
     "make_hn_type",
     "hn_runs",
     "enumerate_hn_types",
@@ -178,26 +177,6 @@ def expand_listings(listings) -> list[ComponentRecord]:
                 for ell1, ell2 in zip(ell1s, ell2s)
             )
     return out
-
-
-# types per piece of a listing that `format_types` formats at once
-_BLOCK = 4096
-
-
-def format_types(
-    before: str, mid: str, after: str, ell1s, ell2s, sep: str = ""
-) -> Iterator[str]:
-    """`before + ell1 + mid + ell2 + after` for each type of a listing, joined by `sep`.
-
-    Yields the text in pieces of at most `_BLOCK` types, which the caller joins
-    by `sep` too, so memory stays bounded however long a run is.  Only the
-    two lengths are formatted per type; the parts a listing shares are put
-    in between by one `str.join` per piece.
-    """
-    glue = after + sep + before
-    for i in range(0, len(ell1s), _BLOCK):
-        block = zip(ell1s[i : i + _BLOCK], ell2s[i : i + _BLOCK])
-        yield before + glue.join([f"{ell1}{mid}{ell2}" for ell1, ell2 in block]) + after
 
 
 class _SemistablePolygon:

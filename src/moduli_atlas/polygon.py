@@ -10,8 +10,8 @@ higher degree plots higher), and the output bytes depend only on the input.
 
 from __future__ import annotations
 
-from .hn import format_types
 from .lattice import MukaiVector, Surface
+from .report import format_types
 
 __all__ = ["polygon_svg", "write_polygon_svg"]
 

@@ -5,7 +5,7 @@ version, notes) and the classifier's listings (see `hn`): one per run, with
 the fields its components share, plus the untyped semistable or beta entry.
 Each format has one writer, `write_text`, `write_csv` or `write_json`, that
 formats every listing's shared part once and hands the listing's lines to
-`write` in a few large pieces (`hn.format_types`), so the command line
+`write` in a few large pieces (`format_types`), so the command line
 prints a report run by run without building a record per component or the
 whole document.
 
@@ -19,7 +19,7 @@ string.  JSON output carries a schema tag and round-trips exactly through
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .brill_noether import (
@@ -29,7 +29,7 @@ from .brill_noether import (
     VERDICT_WHOLE,
     bn_runs,
 )
-from .hn import ComponentRecord, format_types
+from .hn import ComponentRecord
 from .lattice import MukaiVector, Surface
 from .version import VERSION
 
@@ -47,6 +47,7 @@ __all__ = [
     "write_csv",
     "write_json",
     "WRITERS",
+    "format_types",
     "render_json",
     "parse_json",
     "render_csv",
@@ -174,6 +175,26 @@ def _size(listing: tuple) -> int:
     return 1 if listing[5] is None else len(listing[6])
 
 
+# types per piece of a listing that `format_types` formats at once
+_BLOCK = 4096
+
+
+def format_types(
+    before: str, mid: str, after: str, ell1s, ell2s, sep: str = ""
+) -> Iterator[str]:
+    """`before + ell1 + mid + ell2 + after` for each type of a listing, joined by `sep`.
+
+    Yields the text in pieces of at most `_BLOCK` types, which the caller joins
+    by `sep` too, so memory stays bounded however long a run is.  Only the
+    two lengths are formatted per type; the parts a listing shares are put
+    in between by one `str.join` per piece.
+    """
+    glue = after + sep + before
+    for i in range(0, len(ell1s), _BLOCK):
+        block = zip(ell1s[i : i + _BLOCK], ell2s[i : i + _BLOCK])
+        yield before + glue.join([f"{ell1}{mid}{ell2}" for ell1, ell2 in block]) + after
+
+
 # The JSON documents are written from fixed templates that reproduce
 # `json.dumps(doc, indent=2, sort_keys=True) + "\n"` byte for byte, because
 # `json.dumps` takes its pure-Python encoder when it indents.  Keys are in
@@ -199,7 +220,7 @@ def _list(items: list[str]) -> str:
 
 
 # Each `_<format>_entries` gives a listing's text in pieces (see
-# `hn.format_types`); pieces of JSON entries are separated by `_JSON_SEP`.
+# `format_types`); pieces of JSON entries are separated by `_JSON_SEP`.
 
 
 def _json_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
