@@ -18,16 +18,10 @@ from .brill_noether import BNInput, bn_listings, bn_runs
 from .lattice import MukaiVector, Surface
 from .oracle import DEFAULT_GRID, GridSpec, sweep
 from .polygon import write_polygon_svg
-from .report import (
-    WRITERS,
-    bn_head,
-    render_scan_csv,
-    render_scan_json,
-    scan_rows,
-    tf_head,
-)
+from .report import bn_head, render_scan_csv, render_scan_json, scan_rows, tf_head
 from .torsion_free import DEFAULT_THRESHOLD, tf_listings
 from .version import VERSION
+from .writers import WRITERS
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -11,7 +11,7 @@ higher degree plots higher), and the output bytes depend only on the input.
 from __future__ import annotations
 
 from .lattice import MukaiVector, Surface
-from .report import format_types
+from .writers import format_types
 
 __all__ = ["polygon_svg", "write_polygon_svg"]
 

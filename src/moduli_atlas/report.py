@@ -1,37 +1,37 @@
-"""Report heads, listings and their text, JSON and CSV writers.
+"""Report heads and records, and scan tables.
 
 A report is a head (input echo, verdict, enumeration window, threshold, tool
-version, notes) and the classifier's listings (see `hn`): one per run, with
-the fields its components share, plus the untyped semistable or beta entry.
-Each format has one writer, `write_text`, `write_csv` or `write_json`, that
-formats every listing's shared part once and hands the listing's lines to
-`write` in a few large pieces (`format_types`), so the command line
-prints a report run by run without building a record per component or the
-whole document.
-
-A `ReportRecord` is the same report as one flat, immutable snapshot with a
-`ComponentRecord` per component; `render_text`, `render_csv` and
-`render_json` run the same writers on it and collect the pieces into a
-string.  JSON output carries a schema tag and round-trips exactly through
-`parse_json(render_json(r)) == r`; all renderings are byte-deterministic.
+version, notes; `tf_head`, `bn_head`) and the classifier's listings, which
+the writers of `writers` print run by run.  A `ReportRecord` is the same
+report as one flat, immutable snapshot with a `ComponentRecord` per
+component; `render_text`, `render_csv` and `render_json` run the same
+writers on it and collect the pieces into a string.  JSON output carries a
+schema tag and round-trips exactly through `parse_json(render_json(r)) == r`;
+all renderings are byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .brill_noether import (
-    BNInput,
-    BNReport,
-    VERDICT_COMPONENTS,
-    VERDICT_WHOLE,
-    bn_runs,
-)
+from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_runs
 from .hn import ComponentRecord
 from .lattice import MukaiVector, Surface
 from .version import VERSION
+
+# the scan tables share the JSON and CSV cell helpers of the report writers
+from .writers import (
+    CSV_COLUMNS,
+    SCHEMA_REPORT,
+    _LITERAL,
+    _cell,
+    _list,
+    _scalar,
+    write_csv,
+    write_json,
+    write_text,
+)
 
 __all__ = [
     "SCHEMA_REPORT",
@@ -43,11 +43,6 @@ __all__ = [
     "bn_head",
     "tf_record",
     "bn_record",
-    "write_text",
-    "write_csv",
-    "write_json",
-    "WRITERS",
-    "format_types",
     "render_json",
     "parse_json",
     "render_csv",
@@ -59,10 +54,8 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-SCHEMA_REPORT = "moduli-atlas/report/v1"
 SCHEMA_SCAN = "moduli-atlas/scan/v1"
 
-CSV_COLUMNS = "kind,m,ell1,ell2,dimension,codimension,absorbed,threshold_sensitive"
 SCAN_COLUMNS = "h2,n,N,verdict,alpha_count,beta,min_dim,max_dim,threshold"
 
 NOTE_SEMISTABLE_EMPTY = "semistable stack empty"
@@ -170,175 +163,6 @@ def _record_listings(components) -> list[tuple]:
     return out
 
 
-def _size(listing: tuple) -> int:
-    """How many components a listing stands for."""
-    return 1 if listing[5] is None else len(listing[6])
-
-
-# types per piece of a listing that `format_types` formats at once
-_BLOCK = 4096
-
-
-def format_types(
-    before: str, mid: str, after: str, ell1s, ell2s, sep: str = ""
-) -> Iterator[str]:
-    """`before + ell1 + mid + ell2 + after` for each type of a listing, joined by `sep`.
-
-    Yields the text in pieces of at most `_BLOCK` types, which the caller joins
-    by `sep` too, so memory stays bounded however long a run is.  Only the
-    two lengths are formatted per type; the parts a listing shares are put
-    in between by one `str.join` per piece.
-    """
-    glue = after + sep + before
-    for i in range(0, len(ell1s), _BLOCK):
-        block = zip(ell1s[i : i + _BLOCK], ell2s[i : i + _BLOCK])
-        yield before + glue.join([f"{ell1}{mid}{ell2}" for ell1, ell2 in block]) + after
-
-
-# The JSON documents are written from fixed templates that reproduce
-# `json.dumps(doc, indent=2, sort_keys=True) + "\n"` byte for byte, because
-# `json.dumps` takes its pure-Python encoder when it indents.  Keys are in
-# sorted order ("N" sorts before the lowercase keys), one list entry a line,
-# `[]` for an empty list.  Strings go through `json.dumps`, the C escaper.
-
-# Only for the bool-or-None fields: 1 == True, so an int would print as true.
-_LITERAL = {None: "null", True: "true", False: "false"}
-
-_JSON_SEP = ",\n    "  # between two entries of a top-level list
-
-
-def _scalar(x: int | bool | None) -> str:
-    """null, true, false or the integer, as `json.dumps` writes them."""
-    if x is None or x is True or x is False:
-        return _LITERAL[x]
-    return str(x)
-
-
-def _list(items: list[str]) -> str:
-    """A list value of the top-level object: `[]`, or one rendered item a line."""
-    return "[\n    " + _JSON_SEP.join(items) + "\n  ]" if items else "[]"
-
-
-# Each `_<format>_entries` gives a listing's text in pieces (see
-# `format_types`); pieces of JSON entries are separated by `_JSON_SEP`.
-
-
-def _json_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
-    before = (
-        "{\n"
-        f'      "absorbed": {_LITERAL[absorbed]},\n'
-        f'      "codimension": {_scalar(codim)},\n'
-        f'      "dimension": {dim},\n'
-        f'      "kind": {json.dumps(kind)},\n'
-        f'      "threshold_sensitive": {_LITERAL[sensitive]},\n'
-        '      "type": '
-    )
-    if m is None:
-        return (before + "null\n    }",)
-    return format_types(
-        f"{before}[\n        {m},\n        ", ",\n        ", "\n      ]\n    }",
-        ell1s, ell2s, _JSON_SEP,
-    )
-
-
-def write_json(write, head: tuple, listings: list[tuple]) -> None:
-    kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
-    write(f'{{\n  "N": {_scalar(length)},\n  "components": ')
-    pieces = (piece for listing in listings for piece in _json_entries(*listing))
-    first = next(pieces, None)
-    if first is None:
-        write("[]")
-    else:
-        write("[\n    ")
-        write(first)
-        for piece in pieces:
-            write(_JSON_SEP)
-            write(piece)
-        write("\n  ]")
-    write(
-        ",\n"
-        f'  "h2": {h2},\n'
-        f'  "hilb_dimension": {_scalar(hilb_dim)},\n'
-        f'  "kind": {json.dumps(kind)},\n'
-        f'  "n": {_scalar(n)},\n'
-        f'  "notes": {_list([json.dumps(x) for x in notes])},\n'
-        f'  "schema": {json.dumps(SCHEMA_REPORT)},\n'
-        f'  "threshold": {threshold},\n'
-        f'  "tool_version": {json.dumps(version)},\n'
-        f'  "vector": {_list([str(x) for x in vector])},\n'
-        f'  "verdict": {"null" if verdict is None else json.dumps(verdict)},\n'
-        f'  "window": {_scalar(window)}\n'
-        "}\n"
-    )
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
-
-
-def _csv_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
-    after = f",{_cell(dim)},{_cell(codim)},{_cell(absorbed)},{_cell(sensitive)}\n"
-    if m is None:
-        return (f"{_cell(kind)},,,{after}",)
-    return format_types(f"{_cell(kind)},{m},", ",", after, ell1s, ell2s)
-
-
-def write_csv(write, head: tuple, listings: list[tuple]) -> None:
-    write(CSV_COLUMNS + "\n")
-    for listing in listings:
-        for piece in _csv_entries(*listing):
-            write(piece)
-
-
-def _text_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iterable[str]:
-    # the untyped kinds print no triple: their listings are single entries
-    if kind == "semistable":
-        return (f"  semistable         stack dimension {dim}\n",)
-    if kind == "beta":
-        return (f"  beta               dimension {dim}  codimension {codim}\n",)
-    if kind == "hn":
-        before = "  type "
-        after = f"   stack dimension {dim}{'  [absorbed]' if absorbed else ''}\n"
-    else:
-        before = "  alpha "
-        tag = "  [threshold-sensitive]" if sensitive else ""
-        after = f"  dimension {dim}  codimension {codim}{tag}\n"
-    if m is None:
-        return (f"{before}None{after}",)
-    return format_types(f"{before}({m}, ", ", ", ")" + after, ell1s, ell2s)
-
-
-def write_text(write, head: tuple, listings: list[tuple]) -> None:
-    kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
-    vec = "({}, {}, {})".format(*vector)
-    count = sum(_size(listing) for listing in listings)
-    if kind == "torsion-free":
-        lines = [f"torsion-free stack  h2={h2}  v={vec}  window m<={window}  threshold={threshold}"]
-    else:
-        lines = [f"locus in Hilb^{length}  h2={h2}  n={n}  v={vec}  threshold={threshold}"]
-        if verdict == VERDICT_WHOLE:
-            lines.append(f"verdict: whole Hilbert scheme (dimension {hilb_dim})")
-        elif verdict == VERDICT_COMPONENTS:
-            lines.append(
-                f"verdict: {count} component(s) inside a Hilbert scheme of dimension {hilb_dim}"
-            )
-        else:
-            lines.append("verdict: empty locus")
-    lines.extend(f"note: {note}" for note in notes)
-    write("\n".join(lines) + "\n")
-    for listing in listings:
-        for piece in _text_entries(*listing):
-            write(piece)
-    if kind == "torsion-free":
-        write(f"{count} component(s)\n")
-
-
-# format name -> writer(write, head, listings)
-WRITERS = {"text": write_text, "csv": write_csv, "json": write_json}
 
 
 def _render(writer, r: ReportRecord) -> str:
