@@ -15,7 +15,7 @@ import sys
 
 from moduli_atlas.brill_noether import BNInput, bn_mukai_vector
 from moduli_atlas.lattice import Surface
-from moduli_atlas.oracle import GridSpec, sweep
+from moduli_atlas.oracle import DEFAULT_GRID, GridSpec, sweep
 from moduli_atlas.polygon import write_polygon_svg
 from moduli_atlas.report import render_scan_csv, scan_rows
 from moduli_atlas.torsion_free import tf_listings
@@ -51,13 +51,13 @@ def write_artifacts(grid, out_dir):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--h2", type=int, action="append", help="repeatable; default 2 4 6")
-    ap.add_argument("--n-max", type=int, default=8)
-    ap.add_argument("--N-max", type=int, default=40)
-    ap.add_argument("--margin", type=int, default=4, help="enumeration window above n")
+    ap.add_argument("--n-max", type=int, default=DEFAULT_GRID.n_range[1])
+    ap.add_argument("--N-max", type=int, default=DEFAULT_GRID.length_range[1])
+    ap.add_argument("--margin", type=int, default=DEFAULT_GRID.m_margin, help="enumeration window above n")
     ap.add_argument("--out-dir", default="sweep_out")
     args = ap.parse_args(argv)
 
-    h2s = tuple(args.h2) if args.h2 else (2, 4, 6)
+    h2s = tuple(args.h2) if args.h2 else DEFAULT_GRID.h_squared_values
     try:
         grid = GridSpec(h2s, (0, args.n_max), (0, args.N_max), args.margin)
     except ValueError as exc:

@@ -7,7 +7,8 @@ drifts.  Useful as a smoke check after touching the classifiers.
 
 import sys
 
-from moduli_atlas.brill_noether import BNInput, classify_bn
+from moduli_atlas.brill_noether import BNInput, bn_runs
+from moduli_atlas.hn import listing_size
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.torsion_free import classify_tf_components
 
@@ -28,16 +29,18 @@ def main():
     drift = 0
     print(f"{'h2':>3} {'n':>2} {'N':>3}  {'verdict':<22} {'beta':>5}  alphas")
     for (h2, n, length), want in sorted(EXPECTED.items()):
-        rep = classify_bn(BNInput(Surface(h2), n, length))
-        beta = next((c.dimension for c in rep.components if c.kind == "beta"), None)
-        alpha_dims = tuple(c.dimension for c in rep.components if c.kind == "alpha")
-        got = (rep.verdict, beta, len(alpha_dims), alpha_dims)
+        runs = bn_runs(BNInput(Surface(h2), n, length))
+        beta = next((x[1] for x in runs.listings if x[0] == "beta"), None)
+        alpha_dims = tuple(
+            x[1] for x in runs.listings if x[0] == "alpha" for _ in range(listing_size(x))
+        )
+        got = (runs.verdict, beta, len(alpha_dims), alpha_dims)
         mark = "" if got == want else "  <- expected " + repr(want)
         if got != want:
             drift += 1
         beta_cell = "-" if beta is None else str(beta)
         alpha_cell = " ".join(str(d) for d in alpha_dims) or "-"
-        print(f"{h2:>3} {n:>2} {length:>3}  {rep.verdict:<22} {beta_cell:>5}  {alpha_cell}{mark}")
+        print(f"{h2:>3} {n:>2} {length:>3}  {runs.verdict:<22} {beta_cell:>5}  {alpha_cell}{mark}")
 
     print()
     print("torsion-free strata of the rigid vector (2, 3, 5) at h2=2, window m<=3:")

@@ -1,15 +1,16 @@
 """Exact-integer classification of rank-2 sheaf moduli on a Picard-rank-1 K3 surface.
 
-Two classifiers share one lattice core: `classify_tf_components` lists the
-strata of the stack of rank-2 torsion-free sheaves with a given vector, and
-`classify_bn` lists the irreducible components of the locus of length-N
-subschemes whose twisted ideal sheaf has a nonvanishing h^1.  Both list one
+Two classifiers share one lattice core: `tf_listings` gives the strata of
+the stack of rank-2 torsion-free sheaves with a given vector, and `bn_runs`
+the irreducible components of the locus of length-N subschemes whose
+twisted ideal sheaf has a nonvanishing h^1 (in `bn_runs(...).listings`).
+Both answer with listings, one per sub-degree m, whose components share one
+filtration-type shape, one exact stack or locus dimension and one set of
+flags.  The report writers print the listings as they are, run by run, so a
+report costs what its bytes cost; `scan` and `oracle.sweep` read the same
+listings.  `classify_tf_components` and `classify_bn` expand them into one
 `ComponentRecord` per stratum or component, with its filtration type
-(m, ell1, ell2) and its exact stack or locus dimension.  They expand the
-classifiers' listings (`tf_listings`, `bn_listings`): one per sub-degree m,
-whose components share one dimension and one set of flags.  The report
-writers print the listings as they are, run by run, so a report costs what
-its bytes cost.  `oracle.sweep` cross-checks the classifiers against
+(m, ell1, ell2).  `oracle.sweep` cross-checks the classifiers against
 independent brute-force recomputations.
 """
 
@@ -19,7 +20,6 @@ from .brill_noether import (
     VERDICT_COMPONENTS,
     VERDICT_EMPTY,
     VERDICT_WHOLE,
-    bn_listings,
     bn_mukai_vector,
     bn_runs,
     classify_bn,
@@ -100,7 +100,6 @@ __all__ = [
     "exceptional",
     "classify_bn",
     "bn_runs",
-    "bn_listings",
     "GridSpec",
     "DEFAULT_GRID",
     "BnSummary",

@@ -22,15 +22,20 @@ The threshold defaults to 1; components whose sub/quotient pairing is 0 or 1
 exist under one reading of the inclusion bound but not the other, and carry a
 `threshold_sensitive` flag.
 
+`bn_runs` is the one classification: it works per sub-degree m and returns
+the components as listings (see `hn`), the beta entry and one per alpha run.
+The command line writes them, `report.scan_rows` and `oracle.sweep` read
+them, and `classify_bn` expands them into `ComponentRecord`s.
+
 The paper's closed-form component dimensions are not used here;
-`oracle.bn_component_dimension_identities` checks reports against them.
+`oracle.bn_component_dimension_identities` checks the listings against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hn import ComponentRecord, HNRun, expand_listings, hn_runs, run_listing
+from .hn import ComponentRecord, expand_listings, hn_runs, run_listing
 from .lattice import (
     MukaiVector,
     Surface,
@@ -49,7 +54,6 @@ __all__ = [
     "bn_mukai_vector",
     "exceptional",
     "bn_runs",
-    "bn_listings",
     "classify_bn",
 ]
 
@@ -95,36 +99,38 @@ def exceptional(s: Surface, v: MukaiVector) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class BNRuns:
-    """The classification of W before its alpha components are listed.
+    """The classification of W, with its components as listings (see `hn`).
 
-    Each alpha run is already cut by the quotient cap and the threshold, and
-    every component it stands for has dimension run.dimension + chi.
-    `beta_dimension` is None when there is no beta component.
+    The beta entry comes first when there is one, then one alpha listing per
+    run, already cut by the quotient cap and the threshold.
     """
 
     verdict: str
     hilb_dimension: int
     mukai_vector: MukaiVector
     exceptional_case: bool
-    chi: int
-    beta_dimension: int | None
-    alpha_runs: tuple[HNRun, ...]
+    listings: tuple[tuple, ...]
 
 
 def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
-    """Classify W per sub-degree m, in O(n) whatever the number of components."""
+    """Classify W per sub-degree m, in O(n) whatever the number of components.
+
+    Each alpha run's dimension (stratum dimension plus chi(v)), codimension
+    and `threshold_sensitive` flag (pairing 0 or 1) are worked out once for
+    the whole run.
+    """
     s = inp.surface
     n = inp.n
     v = bn_mukai_vector(inp)
     hilb_dim = 2 * inp.length
     is_exc = exceptional(s, v)
-    chi = euler_characteristic(v)
     if inp.length > h0_line_bundle(s, n):
-        return BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, chi, None, ())
-    beta = None
+        return BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
+    chi = euler_characteristic(v)
+    listings: list[tuple] = []
     if n >= 1 and mss_nonempty(s, v) and not is_exc:
-        beta = dim_mss(s, v) + chi
-    alphas: list[HNRun] = []
+        dim = dim_mss(s, v) + chi
+        listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
     # m <= n - 1 keeps the quotient twist n - m >= 1
     for run in hn_runs(s, v, n - 1):
         if run.pairing > threshold:
@@ -134,26 +140,11 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
         quot_cap = (q * q * s.h_squared) // 2 + 1
         lo = max(run.ell1_lo, run.budget - quot_cap)
         if lo <= run.ell1_hi:
-            alphas.append(HNRun(run.m, lo, run.ell1_hi, run.pairing, run.dimension))
-    verdict = VERDICT_COMPONENTS if beta is not None or alphas else VERDICT_EMPTY
-    return BNRuns(verdict, hilb_dim, v, is_exc, chi, beta, tuple(alphas))
-
-
-def bn_listings(runs: BNRuns) -> list[tuple]:
-    """The components of `classify_bn` as listings: beta, then one per alpha run.
-
-    Each alpha run's dimension, codimension and `threshold_sensitive` flag
-    (pairing 0 or 1) are worked out once for the whole run.
-    """
-    hilb_dim = runs.hilb_dimension
-    out: list[tuple] = []
-    if runs.beta_dimension is not None:
-        dim = runs.beta_dimension
-        out.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
-    for run in runs.alpha_runs:
-        dim = run.dimension + runs.chi
-        out.append(run_listing("alpha", dim, hilb_dim - dim, None, run.pairing in (0, 1), run))
-    return out
+            dim = run.dimension + chi
+            sensitive = run.pairing in (0, 1)
+            listings.append(run_listing("alpha", dim, hilb_dim - dim, None, sensitive, run, lo))
+    verdict = VERDICT_COMPONENTS if listings else VERDICT_EMPTY
+    return BNRuns(verdict, hilb_dim, v, is_exc, tuple(listings))
 
 
 def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
@@ -162,10 +153,10 @@ def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:
     The unstable search window is intrinsic (n > m > n/2 - 1 is finite), so
     unlike the torsion-free classifier no m_max is needed; the output is
     complete.  Components are listed beta first, then alphas by (m, ell1):
-    the expansion of `bn_listings`.
+    the expansion of `bn_runs(inp, threshold).listings`.
     """
     runs = bn_runs(inp, threshold)
-    comps = tuple(expand_listings(bn_listings(runs)))
+    comps = tuple(expand_listings(runs.listings))
     return BNReport(
         runs.verdict, runs.hilb_dimension, comps, runs.mukai_vector, runs.exceptional_case
     )

@@ -14,11 +14,11 @@ import json
 import os
 import sys
 
-from .brill_noether import BNInput, bn_listings, bn_runs
+from .brill_noether import BNInput, bn_runs
 from .lattice import MukaiVector, Surface
 from .oracle import DEFAULT_GRID, GridSpec, sweep
 from .polygon import write_polygon_svg
-from .report import bn_head, render_scan_csv, render_scan_json, scan_rows, tf_head
+from .report import SCAN_RENDERERS, bn_head, scan_rows, tf_head
 from .torsion_free import DEFAULT_THRESHOLD, tf_listings
 from .version import VERSION
 from .writers import WRITERS
@@ -100,11 +100,12 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"invalid range {text!r}: expected integers") from None
 
 
-def _report_writer(args, config: dict):
-    fmt = _setting(args.format, config, "format", "text")
-    if fmt not in WRITERS:
+def _format(args, config: dict, table: dict, default: str):
+    """The entry of `table` (`WRITERS` or `SCAN_RENDERERS`) for the format asked for."""
+    fmt = _setting(args.format, config, "format", default)
+    if fmt not in table:
         raise ValueError(f"unknown format {fmt!r}")
-    return WRITERS[fmt]
+    return table[fmt]
 
 
 def _write_output(args, config: dict, fill) -> str:
@@ -128,12 +129,11 @@ def cmd_classify_tf(args, config: dict) -> int:
     v = _vector(args, s)
     m_max = _window(args, config, v.deg)
     threshold = _threshold(args, config)
-    writer = _report_writer(args, config)
+    writer = _format(args, config, WRITERS, "text")
     listings = tf_listings(s, v, m_max, threshold)
-    present = bool(listings) and listings[0][0] == "semistable"
     if not args.verbose:
         listings = [listing for listing in listings if not listing[3]]  # absorbed
-    writer(sys.stdout.write, tf_head(s, v, m_max, threshold, present), listings)
+    writer(sys.stdout.write, tf_head(s, v, m_max, threshold), listings)
     return EXIT_OK
 
 
@@ -142,8 +142,8 @@ def cmd_classify_bn(args, config: dict) -> int:
     threshold = _threshold(args, config)
     inp = BNInput(s, args.n, args.N)
     runs = bn_runs(inp, threshold)
-    writer = _report_writer(args, config)
-    writer(sys.stdout.write, bn_head(inp, runs, threshold), bn_listings(runs))
+    writer = _format(args, config, WRITERS, "text")
+    writer(sys.stdout.write, bn_head(inp, runs, threshold), runs.listings)
     return EXIT_OK
 
 
@@ -151,13 +151,7 @@ def cmd_scan(args, config: dict) -> int:
     s = _surface(args, config)
     threshold = _threshold(args, config)
     rows = scan_rows(s, _parse_range(args.n_range), _parse_range(args.N_range), threshold)
-    fmt = _setting(args.format, config, "format", "csv")
-    if fmt == "csv":
-        content = render_scan_csv(rows)
-    elif fmt == "json":
-        content = render_scan_json(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    content = _format(args, config, SCAN_RENDERERS, "csv")(rows)
     path = _write_output(args, config, lambda write: write(content))
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
@@ -217,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--c2", type=int, help="second Chern number instead of --a")
     tf.add_argument("--m-max", type=int, dest="m_max", help="enumeration window, at least ceil(deg/2) (default ceil(deg/2)+8)")
     tf.add_argument("--threshold", type=int, help="absorption threshold (default 1)")
-    tf.add_argument("--format", choices=("text", "json", "csv"))
+    tf.add_argument("--format", choices=WRITERS)
     tf.add_argument("--verbose", action="store_true", help="include absorbed strata")
     tf.set_defaults(func=cmd_classify_tf)
 
@@ -226,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--n", type=int, required=True, help="twist degree")
     bn.add_argument("--N", type=int, required=True, help="subscheme length")
     bn.add_argument("--threshold", type=int)
-    bn.add_argument("--format", choices=("text", "json", "csv"))
+    bn.add_argument("--format", choices=WRITERS)
     bn.set_defaults(func=cmd_classify_bn)
 
     scan = sub.add_parser("scan", help="classify a rectangle of (n, N) to a table")
@@ -234,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--n-range", required=True, help="inclusive range A..B")
     scan.add_argument("--N-range", required=True, help="inclusive range A..B")
     scan.add_argument("--threshold", type=int)
-    scan.add_argument("--format", choices=("csv", "json"))
+    scan.add_argument("--format", choices=SCAN_RENDERERS)
     scan.add_argument("--out", required=True, help="output file")
     scan.set_defaults(func=cmd_scan)
 
@@ -251,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="sweep the oracle grid and report discrepancies")
     verify.add_argument("--h2", type=int, action="append", help="repeatable; default: the config h2, else 2 4 6")
-    verify.add_argument("--n-range", default="0..8")
-    verify.add_argument("--N-range", default="0..40")
-    verify.add_argument("--margin", type=int, default=4, help="window above n at each point")
+    verify.add_argument("--n-range", default="{}..{}".format(*DEFAULT_GRID.n_range))
+    verify.add_argument("--N-range", default="{}..{}".format(*DEFAULT_GRID.length_range))
+    verify.add_argument("--margin", type=int, default=DEFAULT_GRID.m_margin, help="window above n at each point")
     verify.add_argument("--threshold", type=int, help="default: the config threshold, else both 1 and -1")
     verify.set_defaults(func=cmd_verify)
     return parser

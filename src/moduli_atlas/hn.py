@@ -65,6 +65,7 @@ __all__ = [
     "ComponentRecord",
     "SEMISTABLE",
     "run_listing",
+    "listing_size",
     "expand_listings",
     "make_hn_type",
     "hn_runs",
@@ -156,13 +157,19 @@ def run_listing(
     absorbed: bool | None,
     threshold_sensitive: bool | None,
     run: HNRun,
+    lo: int,
 ) -> tuple:
-    """The listing of every type of `run`, sharing the given fields."""
-    lo, hi, budget = run.ell1_lo, run.ell1_hi, run.budget
+    """The listing of the types of `run` with ell1 >= lo, sharing the given fields."""
+    hi, budget = run.ell1_hi, run.budget
     return (
         kind, dimension, codimension, absorbed, threshold_sensitive,
         run.m, range(lo, hi + 1), range(budget - lo, budget - hi - 1, -1),
     )
+
+
+def listing_size(listing: tuple) -> int:
+    """How many components a listing stands for."""
+    return 1 if listing[5] is None else len(listing[6])
 
 
 def expand_listings(listings) -> list[ComponentRecord]:

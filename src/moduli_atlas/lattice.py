@@ -55,9 +55,6 @@ class MukaiVector:
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.rank + other.rank, self.deg + other.deg, self.a + other.a)
 
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.rank - other.rank, self.deg - other.deg, self.a - other.a)
-
     def scale(self, k: int) -> "MukaiVector":
         return MukaiVector(k * self.rank, k * self.deg, k * self.a)
 

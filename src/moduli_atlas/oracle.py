@@ -6,7 +6,8 @@ scans, sharing only the lattice primitives with the main modules; they
 deliberately loop differently (quotient length major, and sub-degrees scanned
 from n - m_max upward) so a bug in one side cannot hide in the other.
 `bn_component_dimension_identities` holds the paper's closed-form component
-dimensions and pairs them with a report the main side already built.
+dimensions and pairs them with the listings of `bn_runs`, the main side's
+one classification of a point, which the command line prints too.
 
 `sweep` runs both sides over a grid at one or more thresholds and returns
 every disagreement.  At each point it runs the threshold-independent checks
@@ -14,7 +15,7 @@ once and shares them across the thresholds: the filtration types and the
 per-type dimensions the classifiers report (expanded `hn_runs`) against
 `oracle_strata`, and each run's dimension against the closed form.  The
 locus classification against `oracle_bn` and the component dimension
-identities are checked per threshold, classifying the point once for each.
+identities are checked per threshold, on one `bn_runs` per threshold.
 Grid points are independent of each other and records come back in grid
 order.
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brill_noether import BNInput, BNReport, bn_mukai_vector, classify_bn
-from .hn import HNType, dim_hn_closed_form, hn_runs
+from .brill_noether import BNInput, BNRuns, bn_mukai_vector, bn_runs
+from .hn import HNType, dim_hn_closed_form, hn_runs, listing_size
 from .lattice import (
     MukaiVector,
     Surface,
@@ -213,34 +214,37 @@ def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
 
 
 def bn_component_dimension_identities(
-    inp: BNInput, report: BNReport
+    inp: BNInput, runs: BNRuns
 ) -> list[tuple[str, tuple[int, int, int] | None, int, int]]:
-    """Pair each component of `report` that has a closed form with it.
+    """Pair each component of `runs` (from `bn_runs(inp)`) that has a closed form with it.
 
-    Returns (kind, triple, dimension, closed_form) per component: every alpha
-    component should have dimension 2*length - m*(n-m)*H.H, and the beta
-    component 3*length - 3 - n^2*H.H/2 whenever <v,v> > 0 (otherwise it has
-    no closed form and is left out).  A report without components gives [].
+    Returns (kind, triple, dimension, closed_form) per component, in the
+    order `classify_bn` lists them: every alpha component should have
+    dimension 2*length - m*(n-m)*H.H, and the beta component
+    3*length - 3 - n^2*H.H/2 whenever <v,v> > 0 (otherwise it has no closed
+    form and is left out).  A classification without components gives [].
     """
     s, n, length = inp.surface, inp.n, inp.length
-    h2, v = s.h_squared, report.mukai_vector
+    h2, v = s.h_squared, runs.mukai_vector
     checks = []
-    for comp in report.components:
-        if comp.kind == "alpha":
-            m = comp.triple[0]
+    for kind, dim, _, _, _, m, ell1s, ell2s in runs.listings:
+        if kind == "alpha":
             closed_form = 2 * length - m * (n - m) * h2
-            checks.append(("alpha", comp.triple, comp.dimension, closed_form))
+            checks.extend(
+                ("alpha", (m, ell1, ell2), dim, closed_form) for ell1, ell2 in zip(ell1s, ell2s)
+            )
         elif mukai_pairing(s, v, v) > 0:
             closed_form = 3 * length - 3 - (n * n * h2) // 2
-            checks.append(("beta", None, comp.dimension, closed_form))
+            checks.append(("beta", None, dim, closed_form))
     return checks
 
 
-def _main_summary(report) -> BnSummary:
-    alpha_count = sum(1 for c in report.components if c.kind == "alpha")
-    beta = any(c.kind == "beta" for c in report.components)
-    dims = tuple(sorted(c.dimension for c in report.components))
-    return BnSummary(report.verdict, alpha_count, beta, dims)
+def _main_summary(runs: BNRuns) -> BnSummary:
+    """The summary of `bn_runs`' listings that `oracle_bn` recomputes."""
+    alpha_count = sum(listing_size(x) for x in runs.listings if x[0] == "alpha")
+    beta = any(x[0] == "beta" for x in runs.listings)
+    dims = tuple(sorted(x[1] for x in runs.listings for _ in range(listing_size(x))))
+    return BnSummary(runs.verdict, alpha_count, beta, dims)
 
 
 def _type_checks(
@@ -307,8 +311,8 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
                 inp = BNInput(s, n, length)
                 shared = _type_checks(s, bn_mukai_vector(inp), m_max, pieces)
                 for threshold, records in zip(thresholds, per_threshold):
-                    report = classify_bn(inp, threshold)
-                    main = _main_summary(report)
+                    runs = bn_runs(inp, threshold)
+                    main = _main_summary(runs)
                     ora = oracle_bn(s, n, length, threshold)
                     if main != ora:
                         records.append(
@@ -319,7 +323,7 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
                         for check, lhs, rhs in shared
                     )
                     for kind, triple, dim, closed in bn_component_dimension_identities(
-                        inp, report
+                        inp, runs
                     ):
                         if dim != closed:
                             label = f"bn_dimension_identity[{kind}{triple or ''}]"

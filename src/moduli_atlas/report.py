@@ -7,7 +7,9 @@ report as one flat, immutable snapshot with a `ComponentRecord` per
 component; `render_text`, `render_csv` and `render_json` run the same
 writers on it and collect the pieces into a string.  JSON output carries a
 schema tag and round-trips exactly through `parse_json(render_json(r)) == r`;
-all renderings are byte-deterministic.
+all renderings are byte-deterministic.  A scan row summarises the listings
+of `bn_runs` at one point, as `classify-bn` prints them, without expanding
+them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import json
 from dataclasses import dataclass
 
 from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_runs
-from .hn import ComponentRecord
+from .hn import ComponentRecord, listing_size
 from .lattice import MukaiVector, Surface
+from .torsion_free import mss_nonempty
 from .version import VERSION
 
 # the scan tables share the JSON and CSV cell helpers of the report writers
@@ -50,6 +53,7 @@ __all__ = [
     "scan_rows",
     "render_scan_csv",
     "render_scan_json",
+    "SCAN_RENDERERS",
     "SCAN_COLUMNS",
     "CSV_COLUMNS",
 ]
@@ -81,11 +85,9 @@ class ReportRecord:
 # A head is a tuple of the ReportRecord fields before `components`, in order.
 
 
-def tf_head(
-    s: Surface, v: MukaiVector, m_max: int, threshold: int, semistable_present: bool
-) -> tuple:
+def tf_head(s: Surface, v: MukaiVector, m_max: int, threshold: int) -> tuple:
     """Head of a torsion-free report; notes an empty semistable locus."""
-    notes = () if semistable_present else (NOTE_SEMISTABLE_EMPTY,)
+    notes = () if mss_nonempty(s, v) else (NOTE_SEMISTABLE_EMPTY,)
     return ("torsion-free", s.h_squared, v.triple(), None, None, None, None, m_max,
             threshold, VERSION, notes)
 
@@ -109,9 +111,8 @@ def tf_record(
 ) -> ReportRecord:
     """Record for a torsion-free classification; absorbed strata are hidden
     unless `include_absorbed` (they are not irreducible components)."""
-    present = bool(components) and components[0].kind == "semistable"
     return ReportRecord(
-        *tf_head(s, v, m_max, threshold, present),
+        *tf_head(s, v, m_max, threshold),
         tuple(c for c in components if include_absorbed or not c.absorbed),
     )
 
@@ -163,8 +164,6 @@ def _record_listings(components) -> list[tuple]:
     return out
 
 
-
-
 def _render(writer, r: ReportRecord) -> str:
     """What `writer` writes for the record, as one string."""
     parts: list[str] = []
@@ -211,8 +210,8 @@ def scan_rows(
 ) -> list[ScanRow]:
     """One classification row per (n, N) over inclusive ranges, in row order.
 
-    Rows count the per-m runs of `bn_runs` and never list components, so a
-    row costs O(n) however many components its point has.
+    Rows read the listings of `bn_runs` and never expand them, so a row
+    costs O(n) however many components its point has.
     """
     if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
         raise ValueError("empty range")
@@ -220,16 +219,11 @@ def scan_rows(
     for n in range(n_range[0], n_range[1] + 1):
         for length in range(length_range[0], length_range[1] + 1):
             runs = bn_runs(BNInput(s, n, length), threshold)
-            if runs.verdict == VERDICT_WHOLE:
-                alpha, beta = 0, False
-                lo = hi = runs.hilb_dimension
-            else:
-                alpha = sum(r.ell1_hi - r.ell1_lo + 1 for r in runs.alpha_runs)
-                beta = runs.beta_dimension is not None
-                dims = [r.dimension + runs.chi for r in runs.alpha_runs]
-                if beta:
-                    dims.append(runs.beta_dimension)
-                lo, hi = (min(dims), max(dims)) if dims else (None, None)
+            listings = runs.listings
+            alpha = sum(listing_size(x) for x in listings if x[0] == "alpha")
+            beta = any(x[0] == "beta" for x in listings)
+            dims = [runs.hilb_dimension] if runs.verdict == VERDICT_WHOLE else [x[1] for x in listings]
+            lo, hi = (min(dims), max(dims)) if dims else (None, None)
             rows.append(ScanRow(s.h_squared, n, length, runs.verdict, alpha, beta, lo, hi, threshold))
     return rows
 
@@ -269,3 +263,7 @@ def render_scan_json(rows: list[ScanRow]) -> str:
         f'  "tool_version": {json.dumps(VERSION)}\n'
         "}\n"
     )
+
+
+# format name -> scan table renderer(rows)
+SCAN_RENDERERS = {"csv": render_scan_csv, "json": render_scan_json}

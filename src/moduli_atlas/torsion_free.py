@@ -68,7 +68,7 @@ def tf_listings(
         out.append(("semistable", dim_mss(s, v), None, False, None, None, None, None))
     for run in hn_runs(s, v, m_max):
         absorbed = nonempty and run.pairing > threshold
-        out.append(run_listing("hn", run.dimension, None, absorbed, None, run))
+        out.append(run_listing("hn", run.dimension, None, absorbed, None, run, run.ell1_lo))
     return out
 
 

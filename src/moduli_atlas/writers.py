@@ -17,6 +17,7 @@ import json
 from collections.abc import Iterable, Iterator
 
 from .brill_noether import VERDICT_COMPONENTS, VERDICT_WHOLE
+from .hn import listing_size
 
 __all__ = [
     "SCHEMA_REPORT",
@@ -170,15 +171,10 @@ def _text_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Ite
     return format_types(f"{before}({m}, ", ", ", ")" + after, ell1s, ell2s)
 
 
-def _size(listing: tuple) -> int:
-    """How many components a listing stands for."""
-    return 1 if listing[5] is None else len(listing[6])
-
-
 def write_text(write, head: tuple, listings: list[tuple]) -> None:
     kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
     vec = "({}, {}, {})".format(*vector)
-    count = sum(_size(listing) for listing in listings)
+    count = sum(listing_size(listing) for listing in listings)
     if kind == "torsion-free":
         lines = [f"torsion-free stack  h2={h2}  v={vec}  window m<={window}  threshold={threshold}"]
     else:
@@ -200,5 +196,5 @@ def write_text(write, head: tuple, listings: list[tuple]) -> None:
         write(f"{count} component(s)\n")
 
 
-# format name -> writer(write, head, listings)
-WRITERS = {"text": write_text, "csv": write_csv, "json": write_json}
+# format name -> writer(write, head, listings), in the order of the help text
+WRITERS = {"text": write_text, "json": write_json, "csv": write_csv}

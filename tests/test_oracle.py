@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_atlas.brill_noether import BNInput, classify_bn
+from moduli_atlas.brill_noether import BNInput, bn_runs, classify_bn
 from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
@@ -17,6 +17,7 @@ from moduli_atlas.oracle import (
     oracle_strata,
     sweep,
 )
+from moduli_atlas.report import scan_rows
 
 from util import windowed_contexts
 
@@ -71,7 +72,7 @@ def test_oracle_bn_whole_verdict():
 
 def _identities(s, n, length):
     inp = BNInput(s, n, length)
-    return bn_component_dimension_identities(inp, classify_bn(inp))
+    return bn_component_dimension_identities(inp, bn_runs(inp))
 
 
 def test_dimension_identities_beta():
@@ -122,19 +123,37 @@ def test_sweep_detects_seeded_fault(monkeypatch):
     assert any(r.check.startswith("bn_dimension_identity[alpha") for r in records)
 
 
+def test_sweep_and_scan_see_a_seeded_listing_fault(monkeypatch):
+    # corrupt the alpha listings bn_runs builds, after the per-m runs are right
+    import moduli_atlas.brill_noether as bn
+
+    honest = bn.run_listing
+
+    def off_by_one(kind, dimension, *rest):
+        return honest(kind, dimension + 1 if kind == "alpha" else dimension, *rest)
+
+    monkeypatch.setattr(bn, "run_listing", off_by_one)
+    for threshold in (1, -1):
+        records = sweep(GridSpec((2,), (2, 3), (0, 8)), threshold)
+        assert any(r.check == "bn_summary" for r in records)
+        assert any(r.check.startswith("bn_dimension_identity[alpha") for r in records)
+    want = max(oracle_bn(S2, 3, 6, 1).dimensions) + 1
+    assert scan_rows(S2, (3, 3), (6, 6), 1)[0].max_dim == want
+
+
 def test_sweep_classifies_each_point_once(monkeypatch):
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.oracle as oracle
 
     calls = []
-    honest = bn.classify_bn
+    honest = bn.bn_runs
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return honest(*args, **kwargs)
 
-    monkeypatch.setattr(bn, "classify_bn", counting)
-    monkeypatch.setattr(oracle, "classify_bn", counting)
+    monkeypatch.setattr(bn, "bn_runs", counting)
+    monkeypatch.setattr(oracle, "bn_runs", counting)
     grid = GridSpec((2, 4), (0, 4), (0, 12))
     assert sweep(grid, 1) == []
     assert len(calls) == 2 * 5 * 13
