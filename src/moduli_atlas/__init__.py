@@ -12,100 +12,26 @@ listings.  `classify_tf_components` and `classify_bn` expand them into one
 `ComponentRecord` per stratum or component, with its filtration type
 (m, ell1, ell2).  `oracle.sweep` cross-checks the classifiers against
 independent brute-force recomputations.
+
+The package re-exports the `__all__` of `lattice`, `hn`, `torsion_free`,
+`brill_noether` and `oracle`; a name is published in its own module.
 """
 
-from .brill_noether import (
-    BNInput,
-    BNReport,
-    VERDICT_COMPONENTS,
-    VERDICT_EMPTY,
-    VERDICT_WHOLE,
-    bn_mukai_vector,
-    bn_runs,
-    classify_bn,
-    exceptional,
-)
-from .hn import (
-    ComponentRecord,
-    HNType,
-    SEMISTABLE,
-    dim_hn_closed_form,
-    dim_hn_stratum,
-    enumerate_hn_types,
-    hnp_dominates,
-    make_hn_type,
-)
-from .lattice import (
-    MukaiVector,
-    Surface,
-    divisibility,
-    euler_characteristic,
-    h0_line_bundle,
-    ideal_sheaf_vector,
-    mukai_pairing,
-    primitive_part,
-    second_chern,
-)
-from .oracle import (
-    DEFAULT_GRID,
-    BnSummary,
-    Discrepancy,
-    GridSpec,
-    bn_component_dimension_identities,
-    oracle_bn,
-    oracle_enumerate,
-    sweep,
-)
-from .torsion_free import (
-    DEFAULT_THRESHOLD,
-    classify_tf_components,
-    dim_mss,
-    mss_nonempty,
-    tf_listings,
-)
+from . import brill_noether, hn, lattice, oracle, torsion_free
+from .brill_noether import *  # noqa: F403
+from .hn import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .torsion_free import *  # noqa: F403
 from .version import VERSION
 
 __version__ = VERSION
 
 __all__ = [
     "__version__",
-    "Surface",
-    "MukaiVector",
-    "mukai_pairing",
-    "euler_characteristic",
-    "divisibility",
-    "primitive_part",
-    "ideal_sheaf_vector",
-    "h0_line_bundle",
-    "second_chern",
-    "HNType",
-    "ComponentRecord",
-    "SEMISTABLE",
-    "make_hn_type",
-    "enumerate_hn_types",
-    "dim_hn_stratum",
-    "dim_hn_closed_form",
-    "hnp_dominates",
-    "DEFAULT_THRESHOLD",
-    "mss_nonempty",
-    "dim_mss",
-    "classify_tf_components",
-    "tf_listings",
-    "BNInput",
-    "BNReport",
-    "VERDICT_WHOLE",
-    "VERDICT_COMPONENTS",
-    "VERDICT_EMPTY",
-    "bn_mukai_vector",
-    "exceptional",
-    "classify_bn",
-    "bn_runs",
-    "GridSpec",
-    "DEFAULT_GRID",
-    "BnSummary",
-    "Discrepancy",
-    "oracle_enumerate",
-    "oracle_bn",
-    "bn_component_dimension_identities",
-    "sweep",
+    *lattice.__all__,
+    *hn.__all__,
+    *torsion_free.__all__,
+    *brill_noether.__all__,
+    *oracle.__all__,
 ]

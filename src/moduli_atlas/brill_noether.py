@@ -138,7 +138,7 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
         q = n - run.m
         # a(quotient) > -1 caps the quotient length, a lower bound on ell1
         quot_cap = (q * q * s.h_squared) // 2 + 1
-        lo = max(run.ell1_lo, run.budget - quot_cap)
+        lo = max(0, run.budget - quot_cap)
         if lo <= run.ell1_hi:
             dim = run.dimension + chi
             sensitive = run.pairing in (0, 1)

@@ -258,10 +258,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else EXIT_USAGE
+        return exc.code
     try:
         config = load_config()
         return args.func(args, config)

@@ -101,27 +101,23 @@ class HNType:
 
 @dataclass(frozen=True, slots=True)
 class HNRun:
-    """The types (m, ell1, budget - ell1) of one m, for ell1_lo <= ell1 <= ell1_hi.
+    """The types (m, ell1, budget - ell1) of one m, for 0 <= ell1 <= ell1_hi.
 
-    `pairing` (sub/quotient) and `dimension` (of the stratum) are shared by
-    every type of the run; see the module docstring.
+    `budget` is the length budget ell1 + ell2; `pairing` (sub/quotient) and
+    `dimension` (of the stratum) are shared by every type of the run; see
+    the module docstring.
     """
 
     m: int
-    ell1_lo: int
     ell1_hi: int
+    budget: int
     pairing: int
     dimension: int
-
-    @property
-    def budget(self) -> int:
-        """ell1 + ell2, solved from dimension = 2*budget - 2 + pairing."""
-        return (self.dimension + 2 - self.pairing) // 2
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """The run's types (m, ell1, ell2), in increasing ell1."""
         m, budget = self.m, self.budget
-        for ell1 in range(self.ell1_lo, self.ell1_hi + 1):
+        for ell1 in range(self.ell1_hi + 1):
             yield (m, ell1, budget - ell1)
 
 
@@ -243,7 +239,7 @@ def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[HNRun]:
         if top < 0:
             continue
         pairing = c2 - 2 - ((m * m + q * q) * h2) // 2
-        out.append(HNRun(m, 0, top, pairing, 2 * budget - 2 + pairing))
+        out.append(HNRun(m, top, budget, pairing, 2 * budget - 2 + pairing))
     return out
 
 

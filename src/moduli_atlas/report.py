@@ -2,20 +2,20 @@
 
 A report is a head (input echo, verdict, enumeration window, threshold, tool
 version, notes; `tf_head`, `bn_head`) and the classifier's listings, which
-the writers of `writers` print run by run.  A `ReportRecord` is the same
-report as one flat, immutable snapshot with a `ComponentRecord` per
-component; `render_text`, `render_csv` and `render_json` run the same
-writers on it and collect the pieces into a string.  JSON output carries a
-schema tag and round-trips exactly through `parse_json(render_json(r)) == r`;
-all renderings are byte-deterministic.  A scan row summarises the listings
-of `bn_runs` at one point, as `classify-bn` prints them, without expanding
-them.
+the writers of `writers` print run by run.  A head is a `ReportRecord`
+without components.  A full `ReportRecord` is the same report as one flat,
+immutable snapshot with a `ComponentRecord` per component; `render_text`,
+`render_csv` and `render_json` run the same writers on it and collect the
+pieces into a string.  JSON output carries a schema tag and round-trips
+exactly through `parse_json(render_json(r)) == r`; all renderings are
+byte-deterministic.  A scan row summarises the listings of `bn_runs` at
+one point, as `classify-bn` prints them, without expanding them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_runs
 from .hn import ComponentRecord, listing_size
@@ -82,23 +82,21 @@ class ReportRecord:
     components: tuple[ComponentRecord, ...]
 
 
-# A head is a tuple of the ReportRecord fields before `components`, in order.
-
-
-def tf_head(s: Surface, v: MukaiVector, m_max: int, threshold: int) -> tuple:
+def tf_head(s: Surface, v: MukaiVector, m_max: int, threshold: int) -> ReportRecord:
     """Head of a torsion-free report; notes an empty semistable locus."""
     notes = () if mss_nonempty(s, v) else (NOTE_SEMISTABLE_EMPTY,)
-    return ("torsion-free", s.h_squared, v.triple(), None, None, None, None, m_max,
-            threshold, VERSION, notes)
+    return ReportRecord("torsion-free", s.h_squared, v.triple(), None, None, None, None,
+                        m_max, threshold, VERSION, notes, ())
 
 
-def bn_head(inp: BNInput, rep, threshold: int) -> tuple:
+def bn_head(inp: BNInput, rep, threshold: int) -> ReportRecord:
     """Head of a Brill-Noether report; `rep` is a `BNReport` or a `BNRuns`."""
     notes = ()
     if rep.exceptional_case and rep.verdict != VERDICT_WHOLE:
         notes = (NOTE_EXCEPTIONAL,)
-    return ("brill-noether", inp.surface.h_squared, rep.mukai_vector.triple(), inp.n,
-            inp.length, rep.verdict, rep.hilb_dimension, None, threshold, VERSION, notes)
+    return ReportRecord("brill-noether", inp.surface.h_squared, rep.mukai_vector.triple(),
+                        inp.n, inp.length, rep.verdict, rep.hilb_dimension, None, threshold,
+                        VERSION, notes, ())
 
 
 def tf_record(
@@ -111,14 +109,14 @@ def tf_record(
 ) -> ReportRecord:
     """Record for a torsion-free classification; absorbed strata are hidden
     unless `include_absorbed` (they are not irreducible components)."""
-    return ReportRecord(
-        *tf_head(s, v, m_max, threshold),
-        tuple(c for c in components if include_absorbed or not c.absorbed),
+    return replace(
+        tf_head(s, v, m_max, threshold),
+        components=tuple(c for c in components if include_absorbed or not c.absorbed),
     )
 
 
 def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
-    return ReportRecord(*bn_head(inp, rep, threshold), rep.components)
+    return replace(bn_head(inp, rep, threshold), components=rep.components)
 
 
 def from_dict(d: dict) -> ReportRecord:
@@ -167,9 +165,7 @@ def _record_listings(components) -> list[tuple]:
 def _render(writer, r: ReportRecord) -> str:
     """What `writer` writes for the record, as one string."""
     parts: list[str] = []
-    head = (r.kind, r.h_squared, r.vector, r.n, r.length, r.verdict, r.hilb_dimension,
-            r.window, r.threshold, r.tool_version, r.notes)
-    writer(parts.append, head, _record_listings(r.components))
+    writer(parts.append, r, _record_listings(r.components))
     return "".join(parts)
 
 

@@ -22,6 +22,7 @@ from .hn import ComponentRecord, expand_listings, hn_runs, run_listing
 from .lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
 
 __all__ = [
+    "DEFAULT_THRESHOLD",
     "mss_nonempty",
     "dim_mss",
     "tf_listings",
@@ -68,7 +69,7 @@ def tf_listings(
         out.append(("semistable", dim_mss(s, v), None, False, None, None, None, None))
     for run in hn_runs(s, v, m_max):
         absorbed = nonempty and run.pairing > threshold
-        out.append(run_listing("hn", run.dimension, None, absorbed, None, run, run.ell1_lo))
+        out.append(run_listing("hn", run.dimension, None, absorbed, None, run, 0))
     return out
 
 

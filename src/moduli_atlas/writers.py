@@ -1,8 +1,9 @@
 """Run-by-run writers of the report formats: text, CSV and JSON.
 
-A report is a head, the tuple of `report.ReportRecord` fields before
-`components`, and the classifier's listings (see `hn`): one per run, with
-the fields its components share, plus the untyped semistable or beta entry.
+A report is a head, a `report.ReportRecord` without components, and the
+classifier's listings (see `hn`): one per run, with the fields its
+components share, plus the untyped semistable or beta entry.  The writers
+read the head's fields by name and never its components.
 Each format has one writer, `write_text`, `write_csv` or `write_json`, that
 formats every listing's shared part once and hands the listing's lines to
 `write` in a few large pieces (`format_types`), so the command line prints
@@ -100,9 +101,8 @@ def _json_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Ite
     )
 
 
-def write_json(write, head: tuple, listings: list[tuple]) -> None:
-    kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
-    write(f'{{\n  "N": {_scalar(length)},\n  "components": ')
+def write_json(write, head, listings: list[tuple]) -> None:
+    write(f'{{\n  "N": {_scalar(head.length)},\n  "components": ')
     pieces = (piece for listing in listings for piece in _json_entries(*listing))
     first = next(pieces, None)
     if first is None:
@@ -116,17 +116,17 @@ def write_json(write, head: tuple, listings: list[tuple]) -> None:
         write("\n  ]")
     write(
         ",\n"
-        f'  "h2": {h2},\n'
-        f'  "hilb_dimension": {_scalar(hilb_dim)},\n'
-        f'  "kind": {json.dumps(kind)},\n'
-        f'  "n": {_scalar(n)},\n'
-        f'  "notes": {_list([json.dumps(x) for x in notes])},\n'
+        f'  "h2": {head.h_squared},\n'
+        f'  "hilb_dimension": {_scalar(head.hilb_dimension)},\n'
+        f'  "kind": {json.dumps(head.kind)},\n'
+        f'  "n": {_scalar(head.n)},\n'
+        f'  "notes": {_list([json.dumps(x) for x in head.notes])},\n'
         f'  "schema": {json.dumps(SCHEMA_REPORT)},\n'
-        f'  "threshold": {threshold},\n'
-        f'  "tool_version": {json.dumps(version)},\n'
-        f'  "vector": {_list([str(x) for x in vector])},\n'
-        f'  "verdict": {"null" if verdict is None else json.dumps(verdict)},\n'
-        f'  "window": {_scalar(window)}\n'
+        f'  "threshold": {head.threshold},\n'
+        f'  "tool_version": {json.dumps(head.tool_version)},\n'
+        f'  "vector": {_list([str(x) for x in head.vector])},\n'
+        f'  "verdict": {"null" if head.verdict is None else json.dumps(head.verdict)},\n'
+        f'  "window": {_scalar(head.window)}\n'
         "}\n"
     )
 
@@ -146,7 +146,7 @@ def _csv_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Iter
     return format_types(f"{_cell(kind)},{m},", ",", after, ell1s, ell2s)
 
 
-def write_csv(write, head: tuple, listings: list[tuple]) -> None:
+def write_csv(write, head, listings: list[tuple]) -> None:
     write(CSV_COLUMNS + "\n")
     for listing in listings:
         for piece in _csv_entries(*listing):
@@ -171,28 +171,28 @@ def _text_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Ite
     return format_types(f"{before}({m}, ", ", ", ")" + after, ell1s, ell2s)
 
 
-def write_text(write, head: tuple, listings: list[tuple]) -> None:
-    kind, h2, vector, n, length, verdict, hilb_dim, window, threshold, version, notes = head
-    vec = "({}, {}, {})".format(*vector)
+def write_text(write, head, listings: list[tuple]) -> None:
+    h2, threshold, hilb_dim = head.h_squared, head.threshold, head.hilb_dimension
+    vec = "({}, {}, {})".format(*head.vector)
     count = sum(listing_size(listing) for listing in listings)
-    if kind == "torsion-free":
-        lines = [f"torsion-free stack  h2={h2}  v={vec}  window m<={window}  threshold={threshold}"]
+    if head.kind == "torsion-free":
+        lines = [f"torsion-free stack  h2={h2}  v={vec}  window m<={head.window}  threshold={threshold}"]
     else:
-        lines = [f"locus in Hilb^{length}  h2={h2}  n={n}  v={vec}  threshold={threshold}"]
-        if verdict == VERDICT_WHOLE:
+        lines = [f"locus in Hilb^{head.length}  h2={h2}  n={head.n}  v={vec}  threshold={threshold}"]
+        if head.verdict == VERDICT_WHOLE:
             lines.append(f"verdict: whole Hilbert scheme (dimension {hilb_dim})")
-        elif verdict == VERDICT_COMPONENTS:
+        elif head.verdict == VERDICT_COMPONENTS:
             lines.append(
                 f"verdict: {count} component(s) inside a Hilbert scheme of dimension {hilb_dim}"
             )
         else:
             lines.append("verdict: empty locus")
-    lines.extend(f"note: {note}" for note in notes)
+    lines.extend(f"note: {note}" for note in head.notes)
     write("\n".join(lines) + "\n")
     for listing in listings:
         for piece in _text_entries(*listing):
             write(piece)
-    if kind == "torsion-free":
+    if head.kind == "torsion-free":
         write(f"{count} component(s)\n")
 
 

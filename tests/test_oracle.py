@@ -167,7 +167,7 @@ def test_sweep_detects_seeded_enumeration_fault(monkeypatch):
     def drop_last_type(s, v, m_max):
         runs = honest(s, v, m_max)
         last = runs[-1]
-        if last.ell1_lo == last.ell1_hi:
+        if last.ell1_hi == 0:
             return runs[:-1]
         return runs[:-1] + [dataclasses.replace(last, ell1_hi=last.ell1_hi - 1)]
 
