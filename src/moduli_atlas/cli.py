@@ -70,24 +70,23 @@ def _surface(args, config: dict) -> Surface:
     return Surface(h2)
 
 
-def _vector(args, s: Surface) -> MukaiVector:
+def _threshold(args, config: dict) -> int:
+    return _setting(args.threshold, config, "threshold", DEFAULT_THRESHOLD)
+
+
+def _vector_inputs(args, config: dict) -> tuple[Surface, MukaiVector, int, int]:
+    """Surface, vector, window and threshold of classify-tf and polygon."""
+    s = _surface(args, config)
     if args.a is None and args.c2 is None:
         raise ValueError("one of --a or --c2 is required")
-    if args.a is not None:
-        return MukaiVector(2, args.deg, args.a)
-    return MukaiVector(2, args.deg, (args.deg * args.deg * s.h_squared) // 2 + 2 - args.c2)
-
-
-def _window(args, config: dict, deg: int) -> int:
+    deg = args.deg
+    a = args.a if args.a is not None else (deg * deg * s.h_squared) // 2 + 2 - args.c2
+    v = MukaiVector(2, deg, a)
     lowest = (deg + 1) // 2  # ceil(deg/2), the lowest sub-degree m of a filtration type
     m_max = _setting(args.m_max, config, "m_max", lowest + 8)
     if m_max < lowest:
         raise ValueError(f"window m_max={m_max} is below ceil(deg/2)={lowest}")
-    return m_max
-
-
-def _threshold(args, config: dict) -> int:
-    return _setting(args.threshold, config, "threshold", DEFAULT_THRESHOLD)
+    return s, v, m_max, _threshold(args, config)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -109,26 +108,19 @@ def _format(args, config: dict, table: dict, default: str):
 
 
 def _write_output(args, config: dict, fill) -> str:
-    """Open the --out file (relative paths under the config `out_dir`) and
-    let `fill(write)` write it."""
-    path = args.out
-    out_dir = config.get("out_dir")
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
+    """Open --out (a relative path under the config `out_dir`) for `fill(write)`."""
+    path = os.path.join(config.get("out_dir", ""), args.out)  # join keeps an absolute --out
     with open(path, "w", encoding="utf-8", newline="") as handle:
         fill(handle.write)
     return path
 
 
-# classify-tf and classify-bn run every check before their first write, so a
-# failed command prints nothing to stdout; the report then goes out run by run.
+# Each command resolves every input, its writer or renderer too, before it
+# classifies, so a rejected command does no work and writes nothing.
 
 
 def cmd_classify_tf(args, config: dict) -> int:
-    s = _surface(args, config)
-    v = _vector(args, s)
-    m_max = _window(args, config, v.deg)
-    threshold = _threshold(args, config)
+    s, v, m_max, threshold = _vector_inputs(args, config)
     writer = _format(args, config, WRITERS, "text")
     listings = tf_listings(s, v, m_max, threshold)
     if not args.verbose:
@@ -138,11 +130,10 @@ def cmd_classify_tf(args, config: dict) -> int:
 
 
 def cmd_classify_bn(args, config: dict) -> int:
-    s = _surface(args, config)
+    inp = BNInput(_surface(args, config), args.n, args.N)
     threshold = _threshold(args, config)
-    inp = BNInput(s, args.n, args.N)
-    runs = bn_runs(inp, threshold)
     writer = _format(args, config, WRITERS, "text")
+    runs = bn_runs(inp, threshold)
     writer(sys.stdout.write, bn_head(inp, runs, threshold), runs.listings)
     return EXIT_OK
 
@@ -150,22 +141,19 @@ def cmd_classify_bn(args, config: dict) -> int:
 def cmd_scan(args, config: dict) -> int:
     s = _surface(args, config)
     threshold = _threshold(args, config)
-    rows = scan_rows(s, _parse_range(args.n_range), _parse_range(args.N_range), threshold)
-    content = _format(args, config, SCAN_RENDERERS, "csv")(rows)
+    n_range, length_range = _parse_range(args.n_range), _parse_range(args.N_range)
+    render = _format(args, config, SCAN_RENDERERS, "csv")
+    rows = scan_rows(s, n_range, length_range, threshold)
+    content = render(rows)
     path = _write_output(args, config, lambda write: write(content))
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
 
 def cmd_polygon(args, config: dict) -> int:
-    s = _surface(args, config)
-    v = _vector(args, s)
-    m_max = _window(args, config, v.deg)
-    threshold = _threshold(args, config)
+    s, v, m_max, threshold = _vector_inputs(args, config)
     listings = tf_listings(s, v, m_max, threshold)
-    path = _write_output(
-        args, config, lambda write: write_polygon_svg(write, s, v, listings, m_max)
-    )
+    path = _write_output(args, config, lambda write: write_polygon_svg(write, s, v, listings, m_max))
     print(f"polygon -> {path}")
     return EXIT_OK
 
@@ -177,12 +165,7 @@ def cmd_verify(args, config: dict) -> int:
         h2s = (config["h2"],)
     else:
         h2s = DEFAULT_GRID.h_squared_values
-    grid = GridSpec(
-        h2s,
-        _parse_range(args.n_range),
-        _parse_range(args.N_range),
-        args.margin,
-    )
+    grid = GridSpec(h2s, _parse_range(args.n_range), _parse_range(args.N_range), args.margin)
     threshold = _setting(args.threshold, config, "threshold")
     thresholds = [threshold] if threshold is not None else [1, -1]
     records = sweep(grid, *thresholds)
@@ -194,6 +177,33 @@ def cmd_verify(args, config: dict) -> int:
     return EXIT_OK if not records else 1
 
 
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand on one surface, given by --h2.  This and the next two
+    helpers declare each shared option once; verify keeps its own --h2
+    (repeatable) and --threshold (default: both readings)."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--h2", type=int, help="self-intersection of the ample generator")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _vector_options(parser) -> None:
+    parser.add_argument("--deg", type=int, required=True, help="degree entry of the vector")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--a", type=int, help="trailing entry of the vector")
+    group.add_argument("--c2", type=int, help="second Chern number instead of --a")
+    parser.add_argument("--m-max", type=int, dest="m_max", help="enumeration window, at least ceil(deg/2) (default ceil(deg/2)+8)")
+
+
+def _output_options(parser, formats=None, out: bool = False) -> None:
+    """--threshold, then --format over `formats` and a required --out where asked."""
+    parser.add_argument("--threshold", type=int, help="absorption threshold (default 1)")
+    if formats is not None:
+        parser.add_argument("--format", choices=formats, help="output format")
+    if out:
+        parser.add_argument("--out", required=True, help="output file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moduli-atlas",
@@ -203,45 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tf = sub.add_parser("classify-tf", help="strata of the rank-2 torsion-free stack")
-    tf.add_argument("--h2", type=int, help="self-intersection of the ample generator")
-    tf.add_argument("--deg", type=int, required=True, help="degree entry of the vector")
-    group = tf.add_mutually_exclusive_group()
-    group.add_argument("--a", type=int, help="trailing entry of the vector")
-    group.add_argument("--c2", type=int, help="second Chern number instead of --a")
-    tf.add_argument("--m-max", type=int, dest="m_max", help="enumeration window, at least ceil(deg/2) (default ceil(deg/2)+8)")
-    tf.add_argument("--threshold", type=int, help="absorption threshold (default 1)")
-    tf.add_argument("--format", choices=WRITERS)
+    tf = _command(sub, "classify-tf", cmd_classify_tf, "strata of the rank-2 torsion-free stack")
+    _vector_options(tf)
+    _output_options(tf, WRITERS)
     tf.add_argument("--verbose", action="store_true", help="include absorbed strata")
-    tf.set_defaults(func=cmd_classify_tf)
 
-    bn = sub.add_parser("classify-bn", help="components of the locus W in Hilb^N")
-    bn.add_argument("--h2", type=int)
+    bn = _command(sub, "classify-bn", cmd_classify_bn, "components of the locus W in Hilb^N")
     bn.add_argument("--n", type=int, required=True, help="twist degree")
     bn.add_argument("--N", type=int, required=True, help="subscheme length")
-    bn.add_argument("--threshold", type=int)
-    bn.add_argument("--format", choices=WRITERS)
-    bn.set_defaults(func=cmd_classify_bn)
+    _output_options(bn, WRITERS)
 
-    scan = sub.add_parser("scan", help="classify a rectangle of (n, N) to a table")
-    scan.add_argument("--h2", type=int)
+    scan = _command(sub, "scan", cmd_scan, "classify a rectangle of (n, N) to a table")
     scan.add_argument("--n-range", required=True, help="inclusive range A..B")
     scan.add_argument("--N-range", required=True, help="inclusive range A..B")
-    scan.add_argument("--threshold", type=int)
-    scan.add_argument("--format", choices=SCAN_RENDERERS)
-    scan.add_argument("--out", required=True, help="output file")
-    scan.set_defaults(func=cmd_scan)
+    _output_options(scan, SCAN_RENDERERS, out=True)
 
-    poly = sub.add_parser("polygon", help="SVG of the filtration polygons")
-    poly.add_argument("--h2", type=int)
-    poly.add_argument("--deg", type=int, required=True)
-    group = poly.add_mutually_exclusive_group()
-    group.add_argument("--a", type=int)
-    group.add_argument("--c2", type=int)
-    poly.add_argument("--m-max", type=int, dest="m_max")
-    poly.add_argument("--threshold", type=int)
-    poly.add_argument("--out", required=True, help="output file")
-    poly.set_defaults(func=cmd_polygon)
+    poly = _command(sub, "polygon", cmd_polygon, "SVG of the filtration polygons")
+    _vector_options(poly)
+    _output_options(poly, out=True)
 
     verify = sub.add_parser("verify", help="sweep the oracle grid and report discrepancies")
     verify.add_argument("--h2", type=int, action="append", help="repeatable; default: the config h2, else 2 4 6")

@@ -75,8 +75,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.h_squared_values:
             raise ValueError("empty range")
-        for h2 in self.h_squared_values:
+        for i, h2 in enumerate(self.h_squared_values):
             Surface(h2)
+            if h2 in self.h_squared_values[:i]:
+                raise ValueError(f"repeated h2 {h2}")
         if self.n_range[0] > self.n_range[1] or self.length_range[0] > self.length_range[1]:
             raise ValueError("empty range")
         if self.m_margin < 0:

@@ -411,3 +411,104 @@ def test_window_below_ceil_half_degree_rejected(capsys, tmp_path, monkeypatch, c
         assert not (tmp_path / "p.svg").exists()
     code, _, err = run_window(2)
     assert code == EXIT_OK and err == ""
+
+
+def test_verify_repeated_h2_is_a_usage_error(capsys, monkeypatch):
+    import moduli_atlas.cli as cli
+
+    swept = []
+    monkeypatch.setattr(cli, "sweep", lambda grid, *thresholds: swept.append(grid) or [])
+    code, out, err = run(
+        capsys, "verify", "--h2", "2", "--h2", "2", "--n-range", "0..1", "--N-range", "0..2",
+    )
+    assert (code, out, err) == (EXIT_USAGE, "", "error: repeated h2 2\n")
+    assert swept == []
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (("scan", "--n-range", "1..3", "--N-range", "0..12", "--out", "t.csv"), "text"),
+        (("classify-bn", "--n", "1", "--N", "4"), "xml"),
+        (("classify-tf", "--deg", "3", "--a", "5"), "xml"),
+    ],
+    ids=["scan", "classify-bn", "classify-tf"],
+)
+def test_unwritable_config_format_is_rejected_before_any_work(capsys, tmp_path, monkeypatch, argv, fmt):
+    import moduli_atlas.cli as cli
+
+    calls = []
+    for name in ("scan_rows", "bn_runs", "tf_listings"):
+        honest = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _name=name, _honest=honest: calls.append(_name) or _honest(*a)
+        )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h2": 2, "format": fmt}))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: unknown format {fmt!r}\n")
+    assert calls == []
+    assert not (tmp_path / "t.csv").exists()
+
+
+OPTIONS = {
+    "classify-tf": ["--h2", "--deg", "--a", "--c2", "--m-max", "--threshold", "--format", "--verbose"],
+    "classify-bn": ["--h2", "--n", "--N", "--threshold", "--format"],
+    "scan": ["--h2", "--n-range", "--N-range", "--threshold", "--format", "--out"],
+    "polygon": ["--h2", "--deg", "--a", "--c2", "--m-max", "--threshold", "--out"],
+    "verify": ["--h2", "--n-range", "--N-range", "--margin", "--threshold"],
+}
+
+
+def option_help(capsys, monkeypatch, command) -> dict:
+    """{option: its help text, whitespace collapsed} as `command --help` prints it."""
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run(capsys, command, "--help")
+    assert code == EXIT_OK and err == ""
+    entries = []
+    for line in out.split("\noptions:\n")[1].splitlines():
+        if line.startswith("  -"):  # wrapped help lines are indented deeper
+            entries.append(line.split())
+        elif entries:
+            entries[-1] += line.split()
+    helps = {}
+    for words in entries:
+        option, rest = (words[1], words[2:]) if words[0] == "-h," else (words[0], words[1:])
+        metavar = option.lstrip("-").replace("-", "_").upper()
+        if rest and (rest[0] == metavar or rest[0].startswith("{")):
+            rest = rest[1:]
+        helps[option] = " ".join(rest)
+    return helps
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_names_every_option(capsys, monkeypatch, command):
+    assert sorted(option_help(capsys, monkeypatch, command)) == sorted(OPTIONS[command] + ["--help"])
+
+
+def test_shared_options_have_one_help_text(capsys, monkeypatch):
+    shared = ["--h2", "--threshold", "--deg", "--a", "--c2", "--m-max", "--format", "--out"]
+    texts = {option: set() for option in shared}
+    for command in ("classify-tf", "classify-bn", "scan", "polygon"):
+        for option, text in option_help(capsys, monkeypatch, command).items():
+            if option in texts:
+                texts[option].add(text)
+    assert all(len(found) == 1 and "" not in found for found in texts.values()), texts
+
+
+def test_module_entry_point_prints_the_version():
+    import os
+    import subprocess
+    import sys
+
+    import moduli_atlas
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moduli_atlas.__file__)))
+    env.pop(CONFIG_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "moduli_atlas.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"moduli-atlas {VERSION}\n", "")

@@ -36,6 +36,8 @@ def test_grid_spec_validation():
         GridSpec((3,), (0, 3), (0, 3))
     with pytest.raises(ValueError, match="negative enumeration margin"):
         GridSpec((2,), (0, 3), (0, 3), -1)
+    with pytest.raises(ValueError, match="repeated h2 2"):
+        GridSpec((2, 4, 2), (0, 3), (0, 3))
 
 
 def test_default_grid_shape():

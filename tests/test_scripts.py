@@ -31,7 +31,9 @@ def test_sweep_report_script_is_reproducible(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--h2", "3"], ["--n-max", "-1"], ["--margin", "-1"]], ids=["h2", "n_max", "margin"]
+    "bad",
+    [["--h2", "3"], ["--h2", "2", "--h2", "2"], ["--n-max", "-1"], ["--margin", "-1"]],
+    ids=["h2", "h2_repeated", "n_max", "margin"],
 )
 def test_sweep_report_rejects_bad_input(tmp_path, capsys, bad):
     out_dir = tmp_path / "out"
