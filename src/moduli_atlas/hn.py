@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .lattice import (
     MukaiVector,
@@ -116,9 +117,8 @@ class HNRun:
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """The run's types (m, ell1, ell2), in increasing ell1."""
-        m, budget = self.m, self.budget
-        for ell1 in range(self.ell1_hi + 1):
-            yield (m, ell1, budget - ell1)
+        hi, budget = self.ell1_hi, self.budget
+        return zip(repeat(self.m), range(hi + 1), range(budget, budget - hi - 1, -1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,9 +24,10 @@ tries is built once per surface, together with its self-pairing, and reused
 at every point on that surface.  This is safe because a piece is a pure
 function of (H.H, deg, length), and the memo files it under exactly that,
 and because every candidate is still checked in full: both pieces are looked
-up, v1 + v2 == v is tested again, and the cross pairing <v1,v2> is computed
-afresh.  The memo is a local of `sweep`, dropped when it moves to the next
-surface; nothing is cached at module level or between calls.
+up, their rank, deg and a are summed and compared with those of v, entry by
+entry and without building a vector, and the cross pairing <v1,v2> is
+computed afresh.  The memo is a local of `sweep`, dropped when it moves to
+the next surface; nothing is cached at module level or between calls.
 """
 
 from __future__ import annotations
@@ -113,13 +114,15 @@ def oracle_strata(
     """Brute-force scan for valid filtration types on v with m <= m_max.
 
     Scans sub-degrees from n - m_max upward so the slope bound is exercised,
-    not assumed, and re-verifies each candidate by adding its two pieces.
-    Each hit (m, ell1, ell2, dim) carries the stratum dimension
+    not assumed, and re-verifies each candidate against v: the rank, deg and
+    a of its two pieces are summed and compared entry by entry, so no vector
+    is built.  Each hit (m, ell1, ell2, dim) carries the stratum dimension
     <v1,v1> + <v2,v2> + <v1,v2> + 2 of those two pieces.  `pieces` memoizes
     the pieces with their self-pairings (see `_pieces`); by default it
     lasts for this call only.
     """
-    n, h2 = v.deg, s.h_squared
+    rank, n, a = v.rank, v.deg, v.a
+    h2 = s.h_squared
     c2 = second_chern(s, v)
     if pieces is None:
         pieces = {}
@@ -139,7 +142,7 @@ def oracle_strata(
                 continue
             v1, p11 = subs[ell1]
             v2, p22 = quots[ell2]
-            if v1 + v2 != v:
+            if v1.rank + v2.rank != rank or v1.deg + v2.deg != n or v1.a + v2.a != a:
                 continue
             found.append((m, ell1, ell2, p11 + p22 + mukai_pairing(s, v1, v2) + 2))
     return found
@@ -198,7 +201,7 @@ def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
                 continue
             v1 = MukaiVector(1, m, (m * m * h2) // 2 - ell1 + 1)
             v2 = MukaiVector(1, quot_deg, (quot_deg * quot_deg * h2) // 2 - ell2 + 1)
-            if v1 + v2 != v:
+            if v1.rank + v2.rank != v.rank or v1.deg + v2.deg != n or v1.a + v2.a != v.a:
                 continue
             if h0_line_bundle(s, quot_deg) <= ell2:
                 continue

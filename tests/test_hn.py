@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moduli_atlas.hn import (
     HNType,
@@ -8,6 +8,7 @@ from moduli_atlas.hn import (
     dim_hn_closed_form,
     dim_hn_stratum,
     enumerate_hn_types,
+    hn_runs,
     hnp_dominates,
     make_hn_type,
 )
@@ -186,6 +187,20 @@ def test_enumeration_complete(ctx):
                 continue
             expected.append((m, ell1, ell2))
     assert [t.triple() for t in enumerate_hn_types(s, v, m_max)] == sorted(expected)
+
+
+@settings(deadline=None)
+@given(windowed_contexts())
+@example((S2, MukaiVector(2, 4, 8), 6))  # its m = 2 run has equal slope, budget 2
+@example((S4, MukaiVector(2, 2, 0), 2))  # equal slope, budget 6
+def test_run_triples_expand_ell1_in_order(ctx):
+    s, v, m_max = ctx
+    for run in hn_runs(s, v, m_max):
+        m, budget = run.m, run.budget
+        if m == v.deg - m:
+            assert 2 * run.ell1_hi < budget
+        expected = [(m, e, budget - e) for e in range(run.ell1_hi + 1)]
+        assert list(run.triples()) == expected
 
 
 @settings(deadline=None)

@@ -237,17 +237,23 @@ def test_sweep_memo_hides_no_seeded_lattice_fault(monkeypatch):
     grid = GridSpec((2, 4), (0, 4), (0, 12))
     honest_vector, honest_pairing = oracle.ideal_sheaf_vector, oracle.mukai_pairing
 
-    def shifted_vector(s, deg, length):
-        w = honest_vector(s, deg, length)
-        return MukaiVector(w.rank, w.deg, w.a + 1) if length == 3 else w
+    def shifted_vector(entry):
+        def build(s, deg, length):
+            w = honest_vector(s, deg, length)
+            return dataclasses.replace(w, **{entry: getattr(w, entry) + 1}) if length == 3 else w
+
+        return build
 
     def shifted_cross_pairing(s, v, w):
         return honest_pairing(s, v, w) + (v != w and v.deg == 2)
 
-    monkeypatch.setattr(oracle, "ideal_sheaf_vector", shifted_vector)
-    records = sweep(grid, 1, -1)
-    assert len(records) == 260 and {r.check for r in records} == {"enumeration"}
-    monkeypatch.undo()
+    # the re-check compares every entry of v1 + v2 with v: a shift in any one shows
+    for entry in ("rank", "deg", "a"):
+        monkeypatch.setattr(oracle, "ideal_sheaf_vector", shifted_vector(entry))
+        records = sweep(grid, 1, -1)
+        assert len(records) == 260, entry
+        assert {r.check for r in records} == {"enumeration"}, entry
+        monkeypatch.undo()
 
     monkeypatch.setattr(oracle, "mukai_pairing", shifted_cross_pairing)
     checks = [r.check.split("(")[0] for r in sweep(grid, 1, -1)]
@@ -256,6 +262,30 @@ def test_sweep_memo_hides_no_seeded_lattice_fault(monkeypatch):
     monkeypatch.undo()
 
     assert sweep(grid, 1, -1) == []
+
+
+def test_every_hit_gets_its_own_cross_pairing(monkeypatch):
+    import moduli_atlas.lattice as lattice
+    import moduli_atlas.oracle as oracle
+
+    cross = []
+
+    def counting(s, v, w):
+        p = lattice.mukai_pairing(s, v, w)
+        if v != w:
+            cross.append(p)
+        return p
+
+    monkeypatch.setattr(oracle, "mukai_pairing", counting)
+    s, v = S2, MukaiVector(2, 5, 3)
+    hits = oracle_strata(s, v, 9)
+    assert len(cross) == len(hits) == 315
+    for (m, ell1, ell2, dim), p12 in zip(hits, cross):
+        v1 = lattice.ideal_sheaf_vector(s, m, ell1)
+        v2 = lattice.ideal_sheaf_vector(s, v.deg - m, ell2)
+        p11, p22 = lattice.mukai_pairing(s, v1, v1), lattice.mukai_pairing(s, v2, v2)
+        assert p12 == lattice.mukai_pairing(s, v1, v2)
+        assert dim == p11 + p22 + p12 + 2
 
 
 def test_scans_cache_nothing_between_calls(monkeypatch):
