@@ -1,4 +1,4 @@
-"""The exact bytes of `classify-tf`, `classify-bn` and `polygon` output.
+"""The exact bytes of `classify-tf`, `classify-bn`, `scan` and `polygon` output.
 
 Each case is one argv; its digest is the sha256 of the exit code, the
 stdout and the bytes of the file it writes, so any change to any rendering
@@ -7,7 +7,9 @@ that absorb different runs, the `--c2` and `--a` forms, a negative degree,
 an empty semistable locus, the default window, all three locus verdicts,
 the exceptional vector, threshold-sensitive alphas, n = 0, and the three
 kinds of polygon picture (with a chord, without one, and the empty-window
-banner).
+banner).  The scan rectangles, in CSV and JSON at thresholds 1, 0 and -1,
+hold all three verdicts, the n = 0 row, the exceptional point and alphas
+that a threshold of 0 or -1 drops.
 """
 
 import hashlib
@@ -52,6 +54,20 @@ BN_CASES = [
         "--h2 2 --n 0 --N 3",
     )
     for fmt in FORMATS
+]
+
+SCAN_CASES = [
+    f"scan {rect} --format {fmt} --threshold {t} --out table"
+    for rect in (
+        # n = 0; whole at (1, 5); empty at (3, 2); exceptional at (3, 6);
+        # pairing-0 alphas at (3, 7)
+        "--h2 2 --n-range 0..3 --N-range 0..12",
+        # pairing-1 alphas at (5, 20); two alpha runs at (8, 40)
+        "--h2 2 --n-range 5..8 --N-range 18..40",
+        "--h2 4 --n-range 0..2 --N-range 0..9",
+    )
+    for fmt in ("csv", "json")
+    for t in (1, 0, -1)
 ]
 
 POLYGON_CASES = [
@@ -196,6 +212,42 @@ DIGESTS = {
         "7aeacec1662d979e455c56707d6807e99c1b5ddcf3c95c88ac62e0b731167c7a",
     "classify-bn --h2 2 --n 0 --N 3 --format json":
         "dcff0985e3e1b2ac04b0d2fc3787afaa884c84d879995f9d6b14ade17b8eaf6c",
+    "scan --h2 2 --n-range 0..3 --N-range 0..12 --format csv --threshold 1 --out table":
+        "5dd189c945b5e70555917454091f01fe04a4b1d4ca2fa3fa89e3c78c36ccd3b7",
+    "scan --h2 2 --n-range 0..3 --N-range 0..12 --format csv --threshold 0 --out table":
+        "b6d035c6489b53dd49f7802d3b1e01d4c9405f501b4fa398c23cf41813460503",
+    "scan --h2 2 --n-range 0..3 --N-range 0..12 --format csv --threshold -1 --out table":
+        "fe78189d9a4eb9269e9b4a1cf97dff01fb14af9ff8ddef766e7eec3ae8aa862d",
+    "scan --h2 2 --n-range 0..3 --N-range 0..12 --format json --threshold 1 --out table":
+        "d94498d0cb52e37951183d287cf4fe06998c23723db13a59e92ae7cae9874dcb",
+    "scan --h2 2 --n-range 0..3 --N-range 0..12 --format json --threshold 0 --out table":
+        "fc10cbfc8b6807a5da19435da92ebe8f27efd6c8e78db1d9ce459b07aa946abe",
+    "scan --h2 2 --n-range 0..3 --N-range 0..12 --format json --threshold -1 --out table":
+        "1a50396810bbe469c990e1ccd2eb66f907808fb1ca8fa0fc88a01528883ae424",
+    "scan --h2 2 --n-range 5..8 --N-range 18..40 --format csv --threshold 1 --out table":
+        "29974b01624973338e74e6d294c7323e251992910445db539f9a7f483623547d",
+    "scan --h2 2 --n-range 5..8 --N-range 18..40 --format csv --threshold 0 --out table":
+        "9082294971e8bf4ec134471707146a29c45abb5704a244ae86d7e3ab7b56bcab",
+    "scan --h2 2 --n-range 5..8 --N-range 18..40 --format csv --threshold -1 --out table":
+        "222b5dac134bc48d2071b87e5f634e8b0cc8069a9813de09fb9feab92ea78dff",
+    "scan --h2 2 --n-range 5..8 --N-range 18..40 --format json --threshold 1 --out table":
+        "5e27d87b7b270420b3aa31aa2fa4cb401fd711602818b8f1fce5c75098540df4",
+    "scan --h2 2 --n-range 5..8 --N-range 18..40 --format json --threshold 0 --out table":
+        "697c36bfa792578865bdc313d87491626487537fee0c394f40eaf6acd19de6a5",
+    "scan --h2 2 --n-range 5..8 --N-range 18..40 --format json --threshold -1 --out table":
+        "5eaec6544a5ebfe89750b5e388afd448f1b582ece8bc05996970dc353ba17efc",
+    "scan --h2 4 --n-range 0..2 --N-range 0..9 --format csv --threshold 1 --out table":
+        "ba95bfecde0046ba8651914df0593a5736df23abf460849a7247629ddca601f7",
+    "scan --h2 4 --n-range 0..2 --N-range 0..9 --format csv --threshold 0 --out table":
+        "df951ebd02b229f0ea98b02e42c8df9de100c11a3fc55d2ab32df6452d274ae8",
+    "scan --h2 4 --n-range 0..2 --N-range 0..9 --format csv --threshold -1 --out table":
+        "ee972f6cf5fef7b7037302a048a99b6498f905abf673569b3a51c1a4196f5534",
+    "scan --h2 4 --n-range 0..2 --N-range 0..9 --format json --threshold 1 --out table":
+        "d512fe733710143010fb805eaed872cf9c01fdde6e574cc8b5221dc65d19db9d",
+    "scan --h2 4 --n-range 0..2 --N-range 0..9 --format json --threshold 0 --out table":
+        "640f3ccee4f6aef6a9d2aac3e481eff40eddf138ca1b3098d2328fc060a88ee9",
+    "scan --h2 4 --n-range 0..2 --N-range 0..9 --format json --threshold -1 --out table":
+        "3cb6372782ced06677b17a898f01162ea2ee9a53d4952ff15cebcf4c9cc130f1",
     "polygon --h2 2 --deg 3 --a 5 --m-max 3 --out p.svg":
         "3a9ae35d521586e8107e6bf6620c3921af817813b89600f244edac9ec469127e",
     "polygon --h2 4 --deg 2 --c2 10 --m-max 4 --threshold 0 --out p.svg":
@@ -221,14 +273,18 @@ def _run(argv, capsys, tmp_path, monkeypatch) -> str:
     monkeypatch.delenv(CONFIG_ENV, raising=False)
     code = main(argv.split())
     out = capsys.readouterr().out
-    svg = tmp_path / "p.svg"
-    return _digest(code, out, svg.read_bytes() if svg.exists() else b"")
+    # the one file a polygon or scan case writes, in a directory of its own
+    written = b"".join(f.read_bytes() for f in sorted(tmp_path.iterdir()))
+    return _digest(code, out, written)
 
 
-@pytest.mark.parametrize("argv", TF_CASES + BN_CASES + POLYGON_CASES)
+CASES = TF_CASES + BN_CASES + SCAN_CASES + POLYGON_CASES
+
+
+@pytest.mark.parametrize("argv", CASES)
 def test_output_bytes_are_pinned(argv, capsys, tmp_path, monkeypatch):
     assert _run(argv, capsys, tmp_path, monkeypatch) == DIGESTS[argv]
 
 
 def test_every_case_has_a_digest():
-    assert sorted(DIGESTS) == sorted(TF_CASES + BN_CASES + POLYGON_CASES)
+    assert sorted(DIGESTS) == sorted(CASES)
