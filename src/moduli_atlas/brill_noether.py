@@ -42,7 +42,7 @@ from .lattice import (
     euler_characteristic,
     h0_line_bundle,
 )
-from .torsion_free import DEFAULT_THRESHOLD, dim_mss, mss_nonempty
+from .torsion_free import DEFAULT_THRESHOLD, _mss_dim
 
 __all__ = [
     "VERDICT_WHOLE",
@@ -92,9 +92,12 @@ def bn_mukai_vector(inp: BNInput) -> MukaiVector:
     return MukaiVector(2, n, (n * n * inp.surface.h_squared) // 2 - inp.length + 2)
 
 
+_EXCEPTIONAL_VECTOR = MukaiVector(2, 3, 5)  # on H.H = 2
+
+
 def exceptional(s: Surface, v: MukaiVector) -> bool:
     """The one rigid case whose semistable locus contributes no component."""
-    return s.h_squared == 2 and v == MukaiVector(2, 3, 5)
+    return s.h_squared == 2 and v == _EXCEPTIONAL_VECTOR
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,8 +131,9 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
         return BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
     chi = euler_characteristic(v)
     listings: list[tuple] = []
-    if n >= 1 and mss_nonempty(s, v) and not is_exc:
-        dim = dim_mss(s, v) + chi
+    mss = _mss_dim(s, v) if n >= 1 and not is_exc else None
+    if mss is not None:
+        dim = mss + chi
         listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
     # m <= n - 1 keeps the quotient twist n - m >= 1
     for run in hn_runs(s, v, n - 1):

@@ -28,7 +28,6 @@ from .writers import (
     CSV_COLUMNS,
     SCHEMA_REPORT,
     _LITERAL,
-    _cell,
     _list,
     _scalar,
     write_csv,
@@ -211,27 +210,37 @@ def scan_rows(
     """
     if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
         raise ValueError("empty range")
+    h2 = s.h_squared
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         for length in range(length_range[0], length_range[1] + 1):
             runs = bn_runs(BNInput(s, n, length), threshold)
-            listings = runs.listings
-            alpha = sum(listing_size(x) for x in listings if x[0] == "alpha")
-            beta = any(x[0] == "beta" for x in listings)
-            dims = [runs.hilb_dimension] if runs.verdict == VERDICT_WHOLE else [x[1] for x in listings]
-            lo, hi = (min(dims), max(dims)) if dims else (None, None)
-            rows.append(ScanRow(s.h_squared, n, length, runs.verdict, alpha, beta, lo, hi, threshold))
+            # one pass: the whole scheme has no listings, only its dimension
+            alpha, beta = 0, False
+            lo = hi = runs.hilb_dimension if runs.verdict == VERDICT_WHOLE else None
+            for x in runs.listings:
+                if x[0] == "beta":
+                    beta = True
+                else:
+                    alpha += listing_size(x)
+                dim = x[1]
+                if lo is None or dim < lo:
+                    lo = dim
+                if hi is None or dim > hi:
+                    hi = dim
+            rows.append(ScanRow(h2, n, length, runs.verdict, alpha, beta, lo, hi, threshold))
     return rows
 
 
 def render_scan_csv(rows: list[ScanRow]) -> str:
     lines = [SCAN_COLUMNS]
     for r in rows:
-        cells = (
-            r.h_squared, r.n, r.length, r.verdict, r.alpha_count, r.beta,
-            r.min_dim, r.max_dim, r.threshold,
+        lo = "" if r.min_dim is None else r.min_dim
+        hi = "" if r.max_dim is None else r.max_dim
+        lines.append(
+            f"{r.h_squared},{r.n},{r.length},{r.verdict},{r.alpha_count},"
+            f"{_LITERAL[r.beta]},{lo},{hi},{r.threshold}"
         )
-        lines.append(",".join(_cell(x) for x in cells))
     return "\n".join(lines) + "\n"
 
 

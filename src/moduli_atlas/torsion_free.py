@@ -11,15 +11,20 @@ and its stack dimension is, with v = d*v0:
 
 (The first case wins the dispatch: it is the only one with <v,v> < 0, and for
 d = 1 it gives dimension -1, the stack of a rigid sheaf with its
-automorphisms.)  An unstable stratum is swallowed by the closure of the
-semistable locus exactly when the pairing of its sub and quotient exceeds a
-threshold; the threshold is a parameter with default 1 everywhere.
+automorphisms.)  The pairing is quadratic, so <v0,v0> = <v,v>/d^2 exactly:
+one self-pairing of v and its divisibility decide both questions, and no v0
+is built here.  The oracle still builds v0 and pairs it, so the two sides
+reach the answer independently.
+
+An unstable stratum is swallowed by the closure of the semistable locus
+exactly when the pairing of its sub and quotient exceeds a threshold; the
+threshold is a parameter with default 1 everywhere.
 """
 
 from __future__ import annotations
 
 from .hn import ComponentRecord, expand_listings, hn_runs, run_listing
-from .lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
+from .lattice import MukaiVector, Surface, divisibility, mukai_pairing
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -32,24 +37,31 @@ __all__ = [
 DEFAULT_THRESHOLD = 1
 
 
-def mss_nonempty(s: Surface, v: MukaiVector) -> bool:
-    """Whether a Gieseker-semistable sheaf with vector v exists."""
-    v0 = primitive_part(v)
-    return mukai_pairing(s, v0, v0) >= -2
-
-
-def dim_mss(s: Surface, v: MukaiVector) -> int:
-    """Stack dimension of the semistable locus; raises when it is empty."""
+def _mss_dim(s: Surface, v: MukaiVector) -> int | None:
+    """Stack dimension of the semistable locus, or None when it is empty."""
     d = divisibility(v)
-    v0 = primitive_part(v)
-    if mukai_pairing(s, v0, v0) < -2:
-        raise ValueError("semistable stack is empty")
     norm = mukai_pairing(s, v, v)
-    if mukai_pairing(s, v0, v0) == -2:
+    norm0 = norm // (d * d)  # <v0,v0>, exact
+    if norm0 < -2:
+        return None
+    if norm0 == -2:
         return norm + d * d
     if norm > 0:
         return norm + 1
     return d
+
+
+def mss_nonempty(s: Surface, v: MukaiVector) -> bool:
+    """Whether a Gieseker-semistable sheaf with vector v exists."""
+    return _mss_dim(s, v) is not None
+
+
+def dim_mss(s: Surface, v: MukaiVector) -> int:
+    """Stack dimension of the semistable locus; raises when it is empty."""
+    dim = _mss_dim(s, v)
+    if dim is None:
+        raise ValueError("semistable stack is empty")
+    return dim
 
 
 def tf_listings(
@@ -63,10 +75,11 @@ def tf_listings(
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
-    nonempty = mss_nonempty(s, v)
+    mss = _mss_dim(s, v)
+    nonempty = mss is not None
     out: list[tuple] = []
     if nonempty:
-        out.append(("semistable", dim_mss(s, v), None, False, None, None, None, None))
+        out.append(("semistable", mss, None, False, None, None, None, None))
     for run in hn_runs(s, v, m_max):
         absorbed = nonempty and run.pairing > threshold
         out.append(run_listing("hn", run.dimension, None, absorbed, None, run, 0))

@@ -8,9 +8,11 @@ from moduli_atlas.brill_noether import (
     VERDICT_EMPTY,
     VERDICT_WHOLE,
     bn_mukai_vector,
+    bn_runs,
     classify_bn,
     exceptional,
 )
+from moduli_atlas import torsion_free
 from moduli_atlas.hn import make_hn_type
 from moduli_atlas.lattice import (
     MukaiVector,
@@ -53,6 +55,26 @@ def test_exceptional_values():
     assert exceptional(S2, MukaiVector(2, 3, 5))
     assert not exceptional(S4, MukaiVector(2, 3, 5))
     assert not exceptional(S2, MukaiVector(2, 3, 9))
+
+
+def test_bn_runs_pairs_v_once_per_semistable_check(monkeypatch):
+    # a point that can have a beta (n >= 1, not whole, not exceptional) costs
+    # one self-pairing of v; any other point costs none
+    calls = []
+    real = torsion_free.mukai_pairing
+
+    def counted(s, v, w):
+        calls.append(v)
+        return real(s, v, w)
+
+    monkeypatch.setattr(torsion_free, "mukai_pairing", counted)
+    for s in (S2, S4):
+        for n in range(5):
+            for length in range(30):
+                calls.clear()
+                runs = bn_runs(BNInput(s, n, length))
+                checked = n >= 1 and runs.verdict != VERDICT_WHOLE and not runs.exceptional_case
+                assert len(calls) == checked
 
 
 def test_classify_single_beta_degree_one():

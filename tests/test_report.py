@@ -30,6 +30,7 @@ from moduli_atlas.report import (
     tf_record,
 )
 from moduli_atlas.torsion_free import classify_tf_components
+from moduli_atlas.writers import _cell
 
 from util import surfaces
 
@@ -268,6 +269,14 @@ def test_render_json_matches_canonical_dump(rec):
 @given(scan_row_lists)
 def test_render_scan_json_matches_canonical_dump(rows):
     _assert_scan_pinned(rows)
+
+
+@settings(deadline=None)
+@given(scan_row_lists)
+def test_render_scan_csv_matches_cell_join(rows):
+    # the spelling the renderer replaced: every field of the row through `_cell`
+    lines = [SCAN_COLUMNS] + [",".join(_cell(x) for x in dataclasses.astuple(r)) for r in rows]
+    assert render_scan_csv(rows) == "\n".join(lines) + "\n"
 
 
 def test_render_json_writes_counts_one_and_zero_as_integers():

@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moduli_atlas.hn import SEMISTABLE, enumerate_hn_types, hnp_dominates, make_hn_type
 from moduli_atlas.lattice import MukaiVector, Surface, divisibility, mukai_pairing, primitive_part
@@ -35,6 +35,39 @@ def test_dim_mss_values():
 def test_dim_mss_raises_when_empty():
     with pytest.raises(ValueError, match="semistable stack is empty"):
         dim_mss(S2, MukaiVector(2, 3, 9))
+
+
+def _mss_by_primitive_part(s, v):
+    """The semistable stack dimension worked out from v0, or None when empty."""
+    d = divisibility(v)
+    v0 = primitive_part(v)
+    norm0 = mukai_pairing(s, v0, v0)
+    norm = mukai_pairing(s, v, v)
+    if norm0 < -2:
+        return None
+    if norm0 == -2:
+        return norm + d * d
+    if norm > 0:
+        return norm + 1
+    return d
+
+
+@settings(deadline=None)
+@given(st.sampled_from([S2, S4, Surface(6)]), st.integers(-12, 12), st.integers(-60, 60))
+@example(S2, 2, 0)  # d = 2, <v,v> = 8
+@example(S4, 2, 6)  # d = 2, <v0,v0> = -2: the d^2 branch, dimension -4
+@example(S2, 2, 2)  # <v,v> = 0 with d = 2
+@example(S4, 1, 1)  # <v,v> = 0 with d = 1
+@example(S2, 3, 9)  # empty locus
+def test_semistable_dimension_matches_primitive_part(s, deg, a):
+    v = MukaiVector(2, deg, a)
+    expected = _mss_by_primitive_part(s, v)
+    assert mss_nonempty(s, v) == (expected is not None)
+    if expected is None:
+        with pytest.raises(ValueError, match="semistable stack is empty"):
+            dim_mss(s, v)
+    else:
+        assert dim_mss(s, v) == expected
 
 
 def test_classify_rigid_vector():
