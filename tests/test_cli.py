@@ -512,3 +512,86 @@ def test_module_entry_point_prints_the_version():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"moduli-atlas {VERSION}\n", "")
+
+
+# command -> its argv without the options of READS, and the config keys it reads
+MATRIX_BASE = {
+    "classify-tf": "classify-tf --deg 2 --c2 10",
+    "classify-bn": "classify-bn --n 3 --N 7",
+    "scan": "scan --n-range 0..3 --N-range 0..8 --out table",
+    "polygon": "polygon --deg 2 --c2 10 --out p.svg",
+    "verify": "verify --n-range 0..1 --N-range 0..3",
+}
+READS = {
+    "classify-tf": ("h2", "threshold", "format", "m_max"),
+    "classify-bn": ("h2", "threshold", "format"),
+    "scan": ("h2", "threshold", "format"),
+    "polygon": ("h2", "threshold", "m_max"),
+    "verify": ("h2", "threshold"),
+}
+# key -> its flag, a value and a second value that gives other bytes
+MATRIX_VALUES = {
+    "h2": ("--h2", 4, 2),
+    "threshold": ("--threshold", -1, 5),
+    "format": ("--format", "json", "csv"),
+    "m_max": ("--m-max", 4, 2),
+}
+MATRIX = [(command, key) for command, keys in READS.items() for key in keys]
+
+
+@pytest.fixture
+def run_with(capsys, tmp_path, monkeypatch):
+    """run_with(argv, config) -> exit code, stdout, stderr, the bytes of the
+    file written and the grid and thresholds verify swept."""
+    import moduli_atlas.cli as cli
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    swept = []
+    honest = cli.sweep
+
+    def spy(grid, *thresholds):
+        swept.append((grid, thresholds))
+        return honest(grid, *thresholds)
+
+    monkeypatch.setattr(cli, "sweep", spy)
+
+    def run_with(argv: str, config: dict):
+        if config:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "cfg.json"))
+        else:
+            monkeypatch.delenv(CONFIG_ENV, raising=False)
+        code, out, err = run(capsys, *argv.split())
+        written = b""
+        for path in sorted(work.iterdir()):
+            written += path.read_bytes()
+            path.unlink()
+        result = (code, out, err, written, list(swept))
+        swept.clear()
+        return result
+
+    return run_with
+
+
+def _matrix_argv(command: str, key: str, *flags: str) -> str:
+    surface = "" if key == "h2" else " --h2 2"
+    return " ".join([MATRIX_BASE[command] + surface, *flags])
+
+
+@pytest.mark.parametrize("command, key", MATRIX)
+def test_config_value_gives_the_bytes_of_the_flag(run_with, command, key):
+    flag, value, _ = MATRIX_VALUES[key]
+    via_flag = run_with(_matrix_argv(command, key, flag, str(value)), {})
+    assert via_flag[0] == EXIT_OK and via_flag[2] == ""
+    assert run_with(_matrix_argv(command, key), {key: value}) == via_flag
+
+
+@pytest.mark.parametrize("command, key", MATRIX)
+def test_flag_beats_a_different_config_value(run_with, command, key):
+    flag, value, other = MATRIX_VALUES[key]
+    argv = _matrix_argv(command, key, flag, str(value))
+    flag_only = run_with(argv, {})
+    assert run_with(_matrix_argv(command, key), {key: other}) != flag_only  # the values differ
+    assert run_with(argv, {key: other}) == flag_only
