@@ -4,7 +4,9 @@ Subcommands: classify-tf, classify-bn, scan, polygon, verify.  Exit codes:
 0 success, 1 verify found discrepancies, 2 usage or domain error, 4 I/O
 error.  An optional JSON config file, named by the MODULI_ATLAS_CONFIG
 environment variable, can preset defaults for h2, format, threshold, m_max
-and the output directory; explicit flags win over the config.
+and the output directory.  `main` merges it into the parsed arguments once,
+filling each option the command line left unset, so explicit flags win over
+the config and every command reads only its arguments.
 """
 
 from __future__ import annotations
@@ -55,38 +57,38 @@ def load_config() -> dict:
     return data
 
 
-def _setting(flag_value, config: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _merge_config(args, config: dict) -> None:
+    """Fill each option the command line left unset from the config; `out_dir`
+    has no flag, and verify's repeatable --h2 takes the config h2 as one surface."""
+    args.out_dir = config.get("out_dir", "")
+    for key, value in config.items():
+        if getattr(args, key, "") is None:
+            setattr(args, key, [value] if key == "h2" and args.command == "verify" else value)
 
 
-def _surface(args, config: dict) -> Surface:
-    h2 = _setting(args.h2, config, "h2")
-    if h2 is None:
+def _surface(args) -> Surface:
+    if args.h2 is None:
         raise ValueError("missing --h2")
-    return Surface(h2)
+    return Surface(args.h2)
 
 
-def _threshold(args, config: dict) -> int:
-    return _setting(args.threshold, config, "threshold", DEFAULT_THRESHOLD)
+def _threshold(args) -> int:
+    return DEFAULT_THRESHOLD if args.threshold is None else args.threshold
 
 
-def _vector_inputs(args, config: dict) -> tuple[Surface, MukaiVector, int, int]:
+def _vector_inputs(args) -> tuple[Surface, MukaiVector, int, int]:
     """Surface, vector, window and threshold of classify-tf and polygon."""
-    s = _surface(args, config)
+    s = _surface(args)
     if args.a is None and args.c2 is None:
         raise ValueError("one of --a or --c2 is required")
     deg = args.deg
     a = args.a if args.a is not None else (deg * deg * s.h_squared) // 2 + 2 - args.c2
     v = MukaiVector(2, deg, a)
     lowest = (deg + 1) // 2  # ceil(deg/2), the lowest sub-degree m of a filtration type
-    m_max = _setting(args.m_max, config, "m_max", lowest + 8)
+    m_max = lowest + 8 if args.m_max is None else args.m_max
     if m_max < lowest:
         raise ValueError(f"window m_max={m_max} is below ceil(deg/2)={lowest}")
-    return s, v, m_max, _threshold(args, config)
+    return s, v, m_max, _threshold(args)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -99,17 +101,17 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"invalid range {text!r}: expected integers") from None
 
 
-def _format(args, config: dict, table: dict, default: str):
+def _format(args, table: dict, default: str):
     """The entry of `table` (`WRITERS` or `SCAN_RENDERERS`) for the format asked for."""
-    fmt = _setting(args.format, config, "format", default)
+    fmt = default if args.format is None else args.format
     if fmt not in table:
         raise ValueError(f"unknown format {fmt!r}")
     return table[fmt]
 
 
-def _write_output(args, config: dict, fill) -> str:
+def _write_output(args, fill) -> str:
     """Open --out (a relative path under the config `out_dir`) for `fill(write)`."""
-    path = os.path.join(config.get("out_dir", ""), args.out)  # join keeps an absolute --out
+    path = os.path.join(args.out_dir, args.out)  # join keeps an absolute --out
     with open(path, "w", encoding="utf-8", newline="") as handle:
         fill(handle.write)
     return path
@@ -119,55 +121,49 @@ def _write_output(args, config: dict, fill) -> str:
 # classifies, so a rejected command does no work and writes nothing.
 
 
-def cmd_classify_tf(args, config: dict) -> int:
-    s, v, m_max, threshold = _vector_inputs(args, config)
-    writer = _format(args, config, WRITERS, "text")
+def cmd_classify_tf(args) -> int:
+    s, v, m_max, threshold = _vector_inputs(args)
+    writer = _format(args, WRITERS, "text")
     listings = tf_listings(s, v, m_max, threshold)
     if not args.verbose:
         listings = [listing for listing in listings if not listing[3]]  # absorbed
-    writer(sys.stdout.write, tf_head(s, v, m_max, threshold), listings)
+    writer(sys.stdout.write, tf_head(s, v, listings, m_max, threshold), listings)
     return EXIT_OK
 
 
-def cmd_classify_bn(args, config: dict) -> int:
-    inp = BNInput(_surface(args, config), args.n, args.N)
-    threshold = _threshold(args, config)
-    writer = _format(args, config, WRITERS, "text")
+def cmd_classify_bn(args) -> int:
+    inp = BNInput(_surface(args), args.n, args.N)
+    threshold = _threshold(args)
+    writer = _format(args, WRITERS, "text")
     runs = bn_runs(inp, threshold)
     writer(sys.stdout.write, bn_head(inp, runs, threshold), runs.listings)
     return EXIT_OK
 
 
-def cmd_scan(args, config: dict) -> int:
-    s = _surface(args, config)
-    threshold = _threshold(args, config)
+def cmd_scan(args) -> int:
+    s = _surface(args)
+    threshold = _threshold(args)
     n_range, length_range = _parse_range(args.n_range), _parse_range(args.N_range)
-    render = _format(args, config, SCAN_RENDERERS, "csv")
+    render = _format(args, SCAN_RENDERERS, "csv")
     rows = scan_rows(s, n_range, length_range, threshold)
     content = render(rows)
-    path = _write_output(args, config, lambda write: write(content))
+    path = _write_output(args, lambda write: write(content))
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
 
-def cmd_polygon(args, config: dict) -> int:
-    s, v, m_max, threshold = _vector_inputs(args, config)
+def cmd_polygon(args) -> int:
+    s, v, m_max, threshold = _vector_inputs(args)
     listings = tf_listings(s, v, m_max, threshold)
-    path = _write_output(args, config, lambda write: write_polygon_svg(write, s, v, listings, m_max))
+    path = _write_output(args, lambda write: write_polygon_svg(write, s, v, listings, m_max))
     print(f"polygon -> {path}")
     return EXIT_OK
 
 
-def cmd_verify(args, config: dict) -> int:
-    if args.h2:
-        h2s = tuple(args.h2)
-    elif "h2" in config:
-        h2s = (config["h2"],)
-    else:
-        h2s = DEFAULT_GRID.h_squared_values
+def cmd_verify(args) -> int:
+    h2s = DEFAULT_GRID.h_squared_values if args.h2 is None else tuple(args.h2)
     grid = GridSpec(h2s, _parse_range(args.n_range), _parse_range(args.N_range), args.margin)
-    threshold = _setting(args.threshold, config, "threshold")
-    thresholds = [threshold] if threshold is not None else [1, -1]
+    thresholds = [1, -1] if args.threshold is None else [args.threshold]
     records = sweep(grid, *thresholds)
     for threshold in thresholds:
         mine = [r for r in records if r.threshold == threshold]
@@ -249,8 +245,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        config = load_config()
-        return args.func(args, config)
+        _merge_config(args, load_config())
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

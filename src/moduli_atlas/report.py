@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_runs
 from .hn import ComponentRecord, listing_size
 from .lattice import MukaiVector, Surface
-from .torsion_free import mss_nonempty
 from .version import VERSION
 
 # the scan tables share the JSON and CSV cell helpers of the report writers
@@ -81,9 +80,11 @@ class ReportRecord:
     components: tuple[ComponentRecord, ...]
 
 
-def tf_head(s: Surface, v: MukaiVector, m_max: int, threshold: int) -> ReportRecord:
-    """Head of a torsion-free report; notes an empty semistable locus."""
-    notes = () if mss_nonempty(s, v) else (NOTE_SEMISTABLE_EMPTY,)
+def tf_head(s: Surface, v: MukaiVector, listings, m_max: int, threshold: int) -> ReportRecord:
+    """Head of a torsion-free report over `listings` (of `tf_listings`); notes
+    an empty semistable locus, read from whether the listings open with the
+    semistable entry, which is never absorbed and so never filtered out."""
+    notes = () if listings and listings[0][0] == "semistable" else (NOTE_SEMISTABLE_EMPTY,)
     return ReportRecord("torsion-free", s.h_squared, v.triple(), None, None, None, None,
                         m_max, threshold, VERSION, notes, ())
 
@@ -109,43 +110,13 @@ def tf_record(
     """Record for a torsion-free classification; absorbed strata are hidden
     unless `include_absorbed` (they are not irreducible components)."""
     return replace(
-        tf_head(s, v, m_max, threshold),
+        tf_head(s, v, _record_listings(components[:1]), m_max, threshold),
         components=tuple(c for c in components if include_absorbed or not c.absorbed),
     )
 
 
 def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
     return replace(bn_head(inp, rep, threshold), components=rep.components)
-
-
-def from_dict(d: dict) -> ReportRecord:
-    if d.get("schema") != SCHEMA_REPORT:
-        raise ValueError(f"unsupported report schema: {d.get('schema')!r}")
-    comps = tuple(
-        ComponentRecord(
-            c["kind"],
-            tuple(c["type"]) if c["type"] is not None else None,
-            c["dimension"],
-            c["codimension"],
-            c["absorbed"],
-            c["threshold_sensitive"],
-        )
-        for c in d["components"]
-    )
-    return ReportRecord(
-        d["kind"],
-        d["h2"],
-        tuple(d["vector"]),
-        d["n"],
-        d["N"],
-        d["verdict"],
-        d["hilb_dimension"],
-        d["window"],
-        d["threshold"],
-        d["tool_version"],
-        tuple(d["notes"]),
-        comps,
-    )
 
 
 def _record_listings(components) -> list[tuple]:
@@ -181,7 +152,34 @@ def render_text(r: ReportRecord) -> str:
 
 
 def parse_json(text: str) -> ReportRecord:
-    return from_dict(json.loads(text))
+    d = json.loads(text)
+    if d.get("schema") != SCHEMA_REPORT:
+        raise ValueError(f"unsupported report schema: {d.get('schema')!r}")
+    comps = tuple(
+        ComponentRecord(
+            c["kind"],
+            tuple(c["type"]) if c["type"] is not None else None,
+            c["dimension"],
+            c["codimension"],
+            c["absorbed"],
+            c["threshold_sensitive"],
+        )
+        for c in d["components"]
+    )
+    return ReportRecord(
+        d["kind"],
+        d["h2"],
+        tuple(d["vector"]),
+        d["n"],
+        d["N"],
+        d["verdict"],
+        d["hilb_dimension"],
+        d["window"],
+        d["threshold"],
+        d["tool_version"],
+        tuple(d["notes"]),
+        comps,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -73,14 +73,13 @@ def tf_listings(
     "hn" listing per run of `hn_runs`, whose `absorbed` flag is worked out
     once for the whole run.
     """
-    if v.rank != 2:
-        raise ValueError("unsupported rank")
+    runs = hn_runs(s, v, m_max)  # rejects a rank other than 2 first
     mss = _mss_dim(s, v)
     nonempty = mss is not None
     out: list[tuple] = []
     if nonempty:
         out.append(("semistable", mss, None, False, None, None, None, None))
-    for run in hn_runs(s, v, m_max):
+    for run in runs:
         absorbed = nonempty and run.pairing > threshold
         out.append(run_listing("hn", run.dimension, None, absorbed, None, run, 0))
     return out

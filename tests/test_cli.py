@@ -595,3 +595,22 @@ def test_flag_beats_a_different_config_value(run_with, command, key):
     flag_only = run_with(argv, {})
     assert run_with(_matrix_argv(command, key), {key: other}) != flag_only  # the values differ
     assert run_with(argv, {key: other}) == flag_only
+
+
+@pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["plain", "verbose"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_tf_pairs_v_once(capsys, monkeypatch, fmt, verbose):
+    # the head reads the semistable verdict from the listings instead of
+    # working it out again
+    import moduli_atlas.torsion_free as torsion_free
+
+    calls = []
+    real = torsion_free.mukai_pairing
+    monkeypatch.setattr(
+        torsion_free, "mukai_pairing", lambda s, v, w: calls.append(v) or real(s, v, w)
+    )
+    for vector in (("--a", "5"), ("--a", "9")):  # semistable locus nonempty, empty
+        calls.clear()
+        code, _, _ = run(capsys, "classify-tf", "--h2", "2", "--deg", "3", *vector,
+                         "--m-max", "3", "--format", fmt, *verbose)
+        assert code == EXIT_OK and len(calls) == 1

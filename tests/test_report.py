@@ -27,12 +27,13 @@ from moduli_atlas.report import (
     render_scan_json,
     render_text,
     scan_rows,
+    tf_head,
     tf_record,
 )
-from moduli_atlas.torsion_free import classify_tf_components
+from moduli_atlas.torsion_free import classify_tf_components, mss_nonempty, tf_listings
 from moduli_atlas.writers import _cell
 
-from util import surfaces
+from util import surfaces, windowed_contexts
 
 S2 = Surface(2)
 S4 = Surface(4)
@@ -123,6 +124,17 @@ def test_tf_record_hides_absorbed_strata():
     assert [c.kind for c in hidden.components] == ["semistable"]
     assert [c.kind for c in shown.components] == ["semistable", "hn", "hn", "hn"]
     assert [c.absorbed for c in shown.components] == [False, True, True, True]
+
+
+@settings(deadline=None)
+@given(windowed_contexts(), st.sampled_from([1, 0, -1]), st.booleans())
+def test_tf_head_reads_the_semistable_verdict_from_its_listings(ctx, threshold, verbose):
+    s, v, m_max = ctx
+    listings = tf_listings(s, v, m_max, threshold)
+    if not verbose:
+        listings = [x for x in listings if not x[3]]  # as classify-tf prints them
+    notes = tf_head(s, v, listings, m_max, threshold).notes
+    assert notes == (() if mss_nonempty(s, v) else (NOTE_SEMISTABLE_EMPTY,))
 
 
 def test_records_pass_classifier_components_through():

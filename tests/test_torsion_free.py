@@ -9,6 +9,7 @@ from moduli_atlas.torsion_free import (
     classify_tf_components,
     dim_mss,
     mss_nonempty,
+    tf_listings,
 )
 
 from util import windowed_contexts
@@ -116,6 +117,13 @@ def test_classify_flags_absorbed_strata():
 def test_classify_rejects_other_ranks():
     with pytest.raises(ValueError, match="unsupported rank"):
         classify_tf_components(S2, MukaiVector(1, 3, 5), 3)
+
+
+@pytest.mark.parametrize("rank", [-2, -1, 0, 1, 3, 4])
+@pytest.mark.parametrize("deg, a", [(0, 0), (3, 5), (-1, 7)])
+def test_tf_listings_rejects_every_rank_but_two(rank, deg, a):
+    with pytest.raises(ValueError, match="unsupported rank"):
+        tf_listings(S2, MukaiVector(rank, deg, a), 3)
 
 
 @settings(deadline=None)
