@@ -514,7 +514,7 @@ def test_module_entry_point_prints_the_version():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"moduli-atlas {VERSION}\n", "")
 
 
-# command -> its argv without the options of READS, and the config keys it reads
+# command -> its argv without --h2 and the other options READS names for it
 MATRIX_BASE = {
     "classify-tf": "classify-tf --deg 2 --c2 10",
     "classify-bn": "classify-bn --n 3 --N 7",
