@@ -5,7 +5,8 @@ Help is printed at 80 columns (`COLUMNS=80`), where Python 3.10, 3.11 and
 command, an unknown command, a bad int, a missing required option, `--a`
 with `--c2`, an ambiguous abbreviation), which print the usage and exit 2,
 and the CLI's own (a range without `..`, a range of non-integers, an empty
-range, no surface), which print one `error:` line and exit 2.
+range, a scan range below zero, no surface), which print one `error:` line
+and exit 2.
 """
 
 import pytest
@@ -151,6 +152,13 @@ ERRORS = {
     f"{SCAN} 1-3": "error: invalid range '1-3': expected A..B\n",
     f"{SCAN} a..3": "error: invalid range 'a..3': expected integers\n",
     f"{SCAN} 3..1": "error: empty range\n",
+    # a range that reaches below zero: the twist is checked before the length
+    "scan --h2 2 --n-range=-1..2 --N-range 0..2 --out t.csv":
+        "error: twist degree must be nonnegative\n",
+    "scan --h2 2 --n-range 0..2 --N-range=-3..3 --out t.csv":
+        "error: negative subscheme length\n",
+    "scan --h2 2 --n-range=-1..2 --N-range=-3..3 --out t.csv":
+        "error: twist degree must be nonnegative\n",
     "classify-bn --n 1 --N 4": "error: missing --h2\n",
 }
 
