@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """A subcommand on one surface, given by --h2.  This and the next two
+    """A subcommand on one surface, given by --h2.  This and the next three
     helpers declare each shared option once; verify keeps its own --h2
     (repeatable) and --threshold (default: both readings)."""
     parser = sub.add_parser(name, help=help)
@@ -189,6 +189,16 @@ def _vector_options(parser) -> None:
     group.add_argument("--a", type=int, help="trailing entry of the vector")
     group.add_argument("--c2", type=int, help="second Chern number instead of --a")
     parser.add_argument("--m-max", type=int, dest="m_max", help="enumeration window, at least ceil(deg/2) (default ceil(deg/2)+8)")
+
+
+def _range_options(parser, grid: GridSpec | None = None) -> None:
+    """--n-range and --N-range: required, or defaulting to the ranges of `grid`."""
+    ranges = (None, None) if grid is None else (grid.n_range, grid.length_range)
+    for flag, bounds in zip(("--n-range", "--N-range"), ranges):
+        default = None if bounds is None else "{}..{}".format(*bounds)
+        suffix = "" if default is None else f" (default {default})"
+        parser.add_argument(flag, required=default is None, default=default,
+                            help=f"inclusive range A..B{suffix}")
 
 
 def _output_options(parser, formats=None, out: bool = False) -> None:
@@ -220,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_options(bn, WRITERS)
 
     scan = _command(sub, "scan", cmd_scan, "classify a rectangle of (n, N) to a table")
-    scan.add_argument("--n-range", required=True, help="inclusive range A..B")
-    scan.add_argument("--N-range", required=True, help="inclusive range A..B")
+    _range_options(scan)
     _output_options(scan, SCAN_RENDERERS, out=True)
 
     poly = _command(sub, "polygon", cmd_polygon, "SVG of the filtration polygons")
@@ -230,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="sweep the oracle grid and report discrepancies")
     verify.add_argument("--h2", type=int, action="append", help="repeatable; default: the config h2, else 2 4 6")
-    verify.add_argument("--n-range", default="{}..{}".format(*DEFAULT_GRID.n_range))
-    verify.add_argument("--N-range", default="{}..{}".format(*DEFAULT_GRID.length_range))
+    _range_options(verify, DEFAULT_GRID)
     verify.add_argument("--margin", type=int, default=DEFAULT_GRID.m_margin, help="window above n at each point")
     verify.add_argument("--threshold", type=int, help="default: the config threshold, else both 1 and -1")
     verify.set_defaults(func=cmd_verify)

@@ -126,8 +126,8 @@ options:
 options:
   -h, --help            show this help message and exit
   --h2 H2               repeatable; default: the config h2, else 2 4 6
-  --n-range N_RANGE
-  --N-range N_RANGE
+  --n-range N_RANGE     inclusive range A..B (default 0..8)
+  --N-range N_RANGE     inclusive range A..B (default 0..40)
   --margin MARGIN       window above n at each point
   --threshold THRESHOLD
                         default: the config threshold, else both 1 and -1
