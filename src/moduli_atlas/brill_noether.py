@@ -24,8 +24,13 @@ exist under one reading of the inclusion bound but not the other, and carry a
 
 `bn_runs` is the one classification: it works per sub-degree m and returns
 the components as listings (see `hn`), the beta entry and one per alpha run.
-The command line writes them, `report.scan_rows` and `oracle.sweep` read
-them, and `classify_bn` expands them into `ComponentRecord`s.
+The command line writes them, `oracle.sweep` reads them, and `classify_bn`
+expands them into `ComponentRecord`s.  `bn_row(s, n, lengths, threshold)`
+gives the same answers along one twist n, the way `report.scan_rows` reads
+them: it checks n and the lengths once, and works out the run table of `hn`
+(`run_table(s, n, n - 1)`) and each run's quotient cap once for the row.
+Both classify each point with one shared step, which builds each alpha
+listing straight from the plain run tuples of `hn.table_runs`.
 
 The paper's closed-form component dimensions are not used here;
 `oracle.bn_component_dimension_identities` checks the listings against them.
@@ -33,9 +38,10 @@ The paper's closed-form component dimensions are not used here;
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .hn import ComponentRecord, expand_listings, hn_runs, run_listing
+from .hn import ComponentRecord, expand_listings, run_table, table_runs
 from .lattice import (
     MukaiVector,
     Surface,
@@ -54,6 +60,7 @@ __all__ = [
     "bn_mukai_vector",
     "exceptional",
     "bn_runs",
+    "bn_row",
     "classify_bn",
 ]
 
@@ -88,8 +95,11 @@ class BNReport:
 
 def bn_mukai_vector(inp: BNInput) -> MukaiVector:
     """The extension vector (2, n, n^2*H.H/2 - length + 2); its c2 is `length`."""
-    n = inp.n
-    return MukaiVector(2, n, (n * n * inp.surface.h_squared) // 2 - inp.length + 2)
+    return _extension_vector(inp.surface, inp.n, inp.length)
+
+
+def _extension_vector(s: Surface, n: int, length: int) -> MukaiVector:
+    return MukaiVector(2, n, (n * n * s.h_squared) // 2 - length + 2)
 
 
 _EXCEPTIONAL_VECTOR = MukaiVector(2, 3, 5)  # on H.H = 2
@@ -115,19 +125,30 @@ class BNRuns:
     listings: tuple[tuple, ...]
 
 
-def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
-    """Classify W per sub-degree m, in O(n) whatever the number of components.
+def _row_tables(s: Surface, n: int) -> tuple[list, list[int]]:
+    """What every point of twist n shares: the run table and the quotient cap of each m.
+
+    m <= n - 1 keeps the quotient twist n - m >= 1, and a(quotient) > -1
+    caps the quotient length at (n-m)^2*H.H/2 + 1, a lower bound on ell1.
+    """
+    h2 = s.h_squared
+    caps = [(q * q * h2) // 2 + 1 for q in range(n - (n + 1) // 2, 0, -1)]
+    return run_table(s, n, n - 1), caps
+
+
+def _classify_point(
+    s: Surface, n: int, length: int, h0: int, table: list, caps: list[int], threshold: int
+) -> BNRuns:
+    """Classify W at one length, given the `_row_tables` of its twist and h^0(O(n*H)).
 
     Each alpha run's dimension (stratum dimension plus chi(v)), codimension
     and `threshold_sensitive` flag (pairing 0 or 1) are worked out once for
-    the whole run.
+    the whole run, and its listing is built straight from the run tuple.
     """
-    s = inp.surface
-    n = inp.n
-    v = bn_mukai_vector(inp)
-    hilb_dim = 2 * inp.length
+    v = _extension_vector(s, n, length)
+    hilb_dim = 2 * length
     is_exc = exceptional(s, v)
-    if inp.length > h0_line_bundle(s, n):
+    if length > h0:
         return BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
     chi = euler_characteristic(v)
     listings: list[tuple] = []
@@ -135,20 +156,48 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
     if mss is not None:
         dim = mss + chi
         listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
-    # m <= n - 1 keeps the quotient twist n - m >= 1
-    for run in hn_runs(s, v, n - 1):
-        if run.pairing > threshold:
+    first = (n + 1) // 2  # the m of the table's first row
+    for m, hi, budget, pairing, dimension in table_runs(length, table):
+        if pairing > threshold:
             continue
-        q = n - run.m
-        # a(quotient) > -1 caps the quotient length, a lower bound on ell1
-        quot_cap = (q * q * s.h_squared) // 2 + 1
-        lo = max(0, run.budget - quot_cap)
-        if lo <= run.ell1_hi:
-            dim = run.dimension + chi
-            sensitive = run.pairing in (0, 1)
-            listings.append(run_listing("alpha", dim, hilb_dim - dim, None, sensitive, run, lo))
+        lo = budget - caps[m - first]
+        if lo < 0:
+            lo = 0
+        if lo <= hi:
+            dim = dimension + chi
+            listings.append((
+                "alpha", dim, hilb_dim - dim, None, pairing in (0, 1),
+                m, range(lo, hi + 1), range(budget - lo, budget - hi - 1, -1),
+            ))
     verdict = VERDICT_COMPONENTS if listings else VERDICT_EMPTY
     return BNRuns(verdict, hilb_dim, v, is_exc, tuple(listings))
+
+
+def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
+    """Classify W per sub-degree m, in O(n) whatever the number of components."""
+    s, n, length = inp.surface, inp.n, inp.length
+    h0 = h0_line_bundle(s, n)
+    # the whole scheme reads no run, so a single point builds no table for it
+    table, caps = _row_tables(s, n) if length <= h0 else ((), ())
+    return _classify_point(s, n, length, h0, table, caps, threshold)
+
+
+def bn_row(
+    s: Surface, n: int, lengths, threshold: int = DEFAULT_THRESHOLD
+) -> Iterator[BNRuns]:
+    """`bn_runs` at twist n and each length of `lengths` (a sequence), in order.
+
+    n and the lengths are checked once, before any point is classified, with
+    the messages and the precedence of `BNInput`; the run table, the
+    quotient caps and h^0(O(n*H)) are worked out once for the whole row.
+    """
+    if n < 0:
+        raise ValueError("twist degree must be nonnegative")
+    if lengths and min(lengths) < 0:
+        raise ValueError("negative subscheme length")
+    h0 = h0_line_bundle(s, n)
+    table, caps = _row_tables(s, n)
+    return (_classify_point(s, n, length, h0, table, caps, threshold) for length in lengths)
 
 
 def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:

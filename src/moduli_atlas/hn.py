@@ -34,6 +34,15 @@ order ell1 < ell2 gives ell1 <= (b - 1)/2, and the Brill-Noether quotient
 cap ell2 <= cap gives ell1 >= b - cap.  Classifiers therefore work per m and
 only list types when they must report them one by one.
 
+The run table.  Of all this, only b and the pairing depend on c2, and each
+is c2 minus a constant of (H.H, n, m): m*q*H.H and (m^2 + q^2)*H.H/2.
+`run_table(s, n, m_max)` holds those two constants and the equal-slope flag
+m == q once per m, and `table_runs(c2, table)` turns a table into the runs
+at one c2 as plain tuples (m, ell1_hi, budget, pairing, dimension): the one
+place where the budget, ell1_hi, the pairing and the dimension are computed.
+`hn_runs` wraps the tuples in `HNRun`s; the Brill-Noether classifier builds
+one table per twist n and reads it at every length of a row.
+
 Listings.  What a classifier reports for one run is a plain tuple
 
     (kind, dimension, codimension, absorbed, threshold_sensitive, m, ell1s, ell2s)
@@ -69,6 +78,8 @@ __all__ = [
     "listing_size",
     "expand_listings",
     "make_hn_type",
+    "run_table",
+    "table_runs",
     "hn_runs",
     "enumerate_hn_types",
     "dim_hn_stratum",
@@ -100,13 +111,15 @@ class HNType:
         return (self.m, self.ell1, self.ell2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HNRun:
     """The types (m, ell1, budget - ell1) of one m, for 0 <= ell1 <= ell1_hi.
 
     `budget` is the length budget ell1 + ell2; `pairing` (sub/quotient) and
     `dimension` (of the stratum) are shared by every type of the run; see
-    the module docstring.
+    the module docstring.  Not frozen: `hn_runs` builds one per run on every
+    call, a frozen dataclass costs about four times as much to build, and
+    nothing hashes or keeps a run.
     """
 
     m: int
@@ -219,28 +232,46 @@ def make_hn_type(s: Surface, v: MukaiVector, m: int, ell1: int) -> HNType:
     return HNType(s, v, m, ell1, ell2)
 
 
+def run_table(s: Surface, n: int, m_max: int) -> list[tuple[int, int, int, bool]]:
+    """The per-m constants of every rank-2 vector of degree n, for ceil(n/2) <= m <= m_max.
+
+    One row (m, m*q*H.H, (m^2 + q^2)*H.H/2, m == q) per m, with q = n - m:
+    what the runs of one m share whatever c2 is (see `table_runs`).
+    """
+    h2 = s.h_squared
+    half = (n * n * h2) // 2  # m*q + (m^2 + q^2)/2 = n^2/2, since m + q = n
+    return [
+        (m, cross, half - cross, 2 * m == n)
+        for m in range((n + 1) // 2, m_max + 1)
+        for cross in (m * (n - m) * h2,)
+    ]
+
+
+def table_runs(c2: int, table) -> Iterator[tuple[int, int, int, int, int]]:
+    """The nonempty runs at second Chern number c2 over a `run_table`.
+
+    Yields (m, ell1_hi, budget, pairing, dimension) per m in table order,
+    the fields of `HNRun`: this is where the per-m budget, pairing and
+    dimension are computed.
+    """
+    for m, cross, square, equal in table:
+        budget = c2 - cross
+        # equal slope: only splits with ell1 < ell2
+        top = (budget - 1) // 2 if equal else budget
+        if top >= 0:
+            pairing = c2 - 2 - square
+            yield m, top, budget, pairing, 2 * budget - 2 + pairing
+
+
 def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[HNRun]:
     """The nonempty runs of valid types on v, one per m in ceil(n/2) <= m <= m_max.
 
-    This is where the per-m pairing and dimension are computed; expanding
-    the runs in order gives enumerate_hn_types(s, v, m_max).
+    `table_runs` over `run_table`, one `HNRun` per run; expanding the runs in
+    order gives enumerate_hn_types(s, v, m_max).
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
-    n = v.deg
-    c2 = second_chern(s, v)
-    h2 = s.h_squared
-    out: list[HNRun] = []
-    for m in range((n + 1) // 2, m_max + 1):
-        q = n - m
-        budget = c2 - m * q * h2
-        # equal slope: only splits with ell1 < ell2
-        top = (budget - 1) // 2 if m == q else budget
-        if top < 0:
-            continue
-        pairing = c2 - 2 - ((m * m + q * q) * h2) // 2
-        out.append(HNRun(m, top, budget, pairing, 2 * budget - 2 + pairing))
-    return out
+    return [HNRun(*run) for run in table_runs(second_chern(s, v), run_table(s, v.deg, m_max))]
 
 
 def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:

@@ -9,7 +9,8 @@ immutable snapshot with a `ComponentRecord` per component; `render_text`,
 pieces into a string.  JSON output carries a schema tag and round-trips
 exactly through `parse_json(render_json(r)) == r`; all renderings are
 byte-deterministic.  A scan row summarises the listings of `bn_runs` at
-one point, as `classify-bn` prints them, without expanding them.
+one point, as `classify-bn` prints them, without expanding them; `scan_rows`
+reads them row by row from `bn_row`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_runs
+from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_row
 from .hn import ComponentRecord, listing_size
 from .lattice import MukaiVector, Surface
 from .version import VERSION
@@ -203,16 +204,17 @@ def scan_rows(
 ) -> list[ScanRow]:
     """One classification row per (n, N) over inclusive ranges, in row order.
 
-    Rows read the listings of `bn_runs` and never expand them, so a row
-    costs O(n) however many components its point has.
+    Each twist is one `bn_row`, whose listings (those of `bn_runs`) a row
+    reads and never expands, so a row costs O(n) however many components
+    its point has.
     """
     if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
         raise ValueError("empty range")
     h2 = s.h_squared
+    lengths = range(length_range[0], length_range[1] + 1)
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
-        for length in range(length_range[0], length_range[1] + 1):
-            runs = bn_runs(BNInput(s, n, length), threshold)
+        for length, runs in zip(lengths, bn_row(s, n, lengths, threshold)):
             # one pass: the whole scheme has no listings, only its dimension
             alpha, beta = 0, False
             lo = hi = runs.hilb_dimension if runs.verdict == VERDICT_WHOLE else None

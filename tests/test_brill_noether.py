@@ -8,6 +8,7 @@ from moduli_atlas.brill_noether import (
     VERDICT_EMPTY,
     VERDICT_WHOLE,
     bn_mukai_vector,
+    bn_row,
     bn_runs,
     classify_bn,
     exceptional,
@@ -38,6 +39,34 @@ def test_input_validation():
         BNInput(S2, -1, 3)
     with pytest.raises(ValueError, match="negative subscheme length"):
         BNInput(S2, 1, -3)
+
+
+def test_bn_row_checks_its_inputs_as_bn_input_does():
+    # before any point is classified, and the twist before the lengths
+    with pytest.raises(ValueError, match="twist degree must be nonnegative"):
+        bn_row(S2, -1, range(3))
+    with pytest.raises(ValueError, match="twist degree must be nonnegative"):
+        bn_row(S2, -1, range(-3, 3))
+    with pytest.raises(ValueError, match="negative subscheme length"):
+        bn_row(S2, 1, range(-3, 3))
+    with pytest.raises(ValueError, match="negative subscheme length"):
+        bn_row(S2, 1, [4, -1, 2])
+    assert list(bn_row(S2, 1, range(0))) == []
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    surfaces,
+    st.integers(0, 12),
+    st.integers(0, 200),
+    st.integers(0, 40),
+    st.integers(-3, 3),
+)
+def test_bn_row_is_bn_runs_point_by_point(s, n, start, width, threshold):
+    lengths = range(start, start + width)
+    assert list(bn_row(s, n, lengths, threshold)) == [
+        bn_runs(BNInput(s, n, length), threshold) for length in lengths
+    ]
 
 
 def test_bn_mukai_vector_values():

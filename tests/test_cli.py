@@ -261,18 +261,15 @@ def test_verify_single_threshold(capsys):
 
 
 def test_verify_reports_discrepancies(capsys, monkeypatch):
-    import dataclasses
-
+    # corrupt the per-m run dimensions the classifier resolves at call time
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    honest = hn.hn_runs
+    honest = hn.table_runs
     monkeypatch.setattr(
         bn,
-        "hn_runs",
-        lambda s, v, m_max: [
-            dataclasses.replace(r, dimension=r.dimension + 1) for r in honest(s, v, m_max)
-        ],
+        "table_runs",
+        lambda c2, table: ((*run[:4], run[4] + 1) for run in honest(c2, table)),
     )
     code, out, _ = run(
         capsys, "verify", "--h2", "2", "--n-range", "2..3", "--N-range", "4..8",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_atlas.brill_noether import BNInput, bn_runs, classify_bn
-from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types
+from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types, table_runs
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
     DEFAULT_GRID,
@@ -104,21 +104,16 @@ def test_sweep_degenerate_grid_clean():
     assert sweep(GridSpec((2,), (0, 0), (0, 1)), 1) == []
 
 
+def bump_run_dimensions(c2, table):
+    """`table_runs` with every run's dimension one too high."""
+    return ((*run[:4], run[4] + 1) for run in table_runs(c2, table))
+
+
 def test_sweep_detects_seeded_fault(monkeypatch):
     # corrupt the per-m run dimensions the classifier resolves at call time
-    import dataclasses
-
     import moduli_atlas.brill_noether as bn
-    import moduli_atlas.hn as hn
 
-    honest = hn.hn_runs
-    monkeypatch.setattr(
-        bn,
-        "hn_runs",
-        lambda s, v, m_max: [
-            dataclasses.replace(r, dimension=r.dimension + 1) for r in honest(s, v, m_max)
-        ],
-    )
+    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
     records = sweep(GridSpec((2,), (2, 3), (0, 8)), 1)
     assert records
     assert any(r.check == "bn_summary" for r in records)
@@ -126,15 +121,20 @@ def test_sweep_detects_seeded_fault(monkeypatch):
 
 
 def test_sweep_and_scan_see_a_seeded_listing_fault(monkeypatch):
-    # corrupt the alpha listings bn_runs builds, after the per-m runs are right
+    # corrupt the alpha listings each point gets, after the per-m runs are right
     import moduli_atlas.brill_noether as bn
 
-    honest = bn.run_listing
+    honest = bn._classify_point
 
-    def off_by_one(kind, dimension, *rest):
-        return honest(kind, dimension + 1 if kind == "alpha" else dimension, *rest)
+    def off_by_one(*args):
+        runs = honest(*args)
+        listings = tuple(
+            (kind, dimension + 1 if kind == "alpha" else dimension, *rest)
+            for kind, dimension, *rest in runs.listings
+        )
+        return dataclasses.replace(runs, listings=listings)
 
-    monkeypatch.setattr(bn, "run_listing", off_by_one)
+    monkeypatch.setattr(bn, "_classify_point", off_by_one)
     for threshold in (1, -1):
         records = sweep(GridSpec((2,), (2, 3), (0, 8)), threshold)
         assert any(r.check == "bn_summary" for r in records)
@@ -180,22 +180,20 @@ def test_sweep_detects_seeded_enumeration_fault(monkeypatch):
 
 def test_sweep_detects_run_dimension_fault(monkeypatch):
     # the fault only the reported per-type dimensions show: bump the dimension
-    # of every run with m >= n, in every module that binds hn_runs
+    # of every run with m >= n, in every module that binds table_runs (hn_runs
+    # resolves it in hn at call time, for the oracle and torsion_free too)
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
-    import moduli_atlas.oracle as oracle
-    import moduli_atlas.torsion_free as tf
 
-    honest = hn.hn_runs
+    honest = hn.table_runs
 
-    def bumped(s, v, m_max):
-        return [
-            dataclasses.replace(r, dimension=r.dimension + 1) if r.m >= v.deg else r
-            for r in honest(s, v, m_max)
-        ]
+    def bumped(c2, table):
+        # for n >= 0, m >= n exactly when m*(n-m)*H.H <= 0, i.e. budget >= c2
+        for m, hi, budget, pairing, dimension in honest(c2, table):
+            yield m, hi, budget, pairing, dimension + (budget >= c2)
 
-    for module in (hn, oracle, tf, bn):
-        monkeypatch.setattr(module, "hn_runs", bumped)
+    for module in (hn, bn):
+        monkeypatch.setattr(module, "table_runs", bumped)
     records = sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1, -1)
     for threshold in (1, -1):
         checks = {r.check.split("(")[0].split("[")[0] for r in records if r.threshold == threshold}
@@ -322,14 +320,7 @@ def test_scans_cache_nothing_between_calls(monkeypatch):
 def test_sweep_thresholds_concatenate_single_sweeps(monkeypatch):
     import moduli_atlas.brill_noether as bn
 
-    honest = bn.hn_runs
-    monkeypatch.setattr(
-        bn,
-        "hn_runs",
-        lambda s, v, m_max: [
-            dataclasses.replace(r, dimension=r.dimension + 1) for r in honest(s, v, m_max)
-        ],
-    )
+    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
     grid = GridSpec((2,), (2, 3), (0, 8))
     both = sweep(grid, 1, -1)
     assert {r.threshold for r in both} == {1, -1}

@@ -1,9 +1,9 @@
 """The per-m run core against per-type formulas and the brute-force oracle.
 
-`scan_rows` counts runs without listing components, while `classify_bn` and
-`classify_tf_components` expand them; every figure must agree with what the
-per-type formulas (`dim_hn_stratum`, `HNType.sub_quotient_pairing`) and the
-oracle give.
+`scan_rows` counts the runs of `bn_row` without listing components, while
+`classify_bn` and `classify_tf_components` expand them; every figure must
+agree with what the per-type formulas (`dim_hn_stratum`,
+`HNType.sub_quotient_pairing`) and the oracle give.
 """
 
 import pytest
@@ -31,14 +31,23 @@ def expanded_row(s: Surface, n: int, length: int, threshold: int) -> ScanRow:
     return ScanRow(s.h_squared, n, length, rep.verdict, alpha, beta, lo, hi, threshold)
 
 
-@pytest.mark.parametrize("threshold", [1, -1])
+# the N range from 0, and one that starts mid-row and crosses h0(n*H) (at
+# n = 6..12 for h2 = 2), so offset starts and whole-scheme suffixes are compared
+LENGTH_RANGES = [(0, LENGTH_MAX), (37, 160)]
+
+
+@pytest.mark.parametrize("length_range", LENGTH_RANGES)
+@pytest.mark.parametrize("threshold", [1, 0, -1])
 @pytest.mark.parametrize("h2", [2, 4, 6])
-def test_scan_rows_match_expanded_components_and_oracle(h2, threshold):
+def test_scan_rows_match_expanded_components_and_oracle(h2, threshold, length_range):
     s = Surface(h2)
-    rows = scan_rows(s, (0, N_MAX), (0, LENGTH_MAX), threshold)
+    rows = scan_rows(s, (0, N_MAX), length_range, threshold)
+    lengths = range(length_range[0], length_range[1] + 1)
     assert [(r.n, r.length) for r in rows] == [
-        (n, length) for n in range(N_MAX + 1) for length in range(LENGTH_MAX + 1)
+        (n, length) for n in range(N_MAX + 1) for length in lengths
     ]
+    whole = {r.n for r in rows if r.verdict == VERDICT_WHOLE}
+    assert whole & {r.n for r in rows if r.verdict != VERDICT_WHOLE}  # a row crosses h0
     for row in rows:
         assert row == expanded_row(s, row.n, row.length, threshold)
         ora = oracle_bn(s, row.n, row.length, threshold)
@@ -46,6 +55,23 @@ def test_scan_rows_match_expanded_components_and_oracle(h2, threshold):
         if row.verdict != VERDICT_WHOLE:
             dims = ora.dimensions
             assert (row.min_dim, row.max_dim) == ((dims[0], dims[-1]) if dims else (None, None))
+
+
+def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
+    import moduli_atlas.brill_noether as bn
+
+    calls = []
+    honest = bn.run_table
+
+    def counting(s, n, m_max):
+        calls.append((s, n, m_max))
+        return honest(s, n, m_max)
+
+    monkeypatch.setattr(bn, "run_table", counting)
+    s = Surface(2)
+    rows = scan_rows(s, (0, 4), (0, 12), 1)
+    assert len(rows) == 5 * 13
+    assert calls == [(s, n, n - 1) for n in range(5)]
 
 
 @pytest.mark.parametrize("window", [0, 2])
