@@ -95,11 +95,8 @@ class BNReport:
 
 def bn_mukai_vector(inp: BNInput) -> MukaiVector:
     """The extension vector (2, n, n^2*H.H/2 - length + 2); its c2 is `length`."""
-    return _extension_vector(inp.surface, inp.n, inp.length)
-
-
-def _extension_vector(s: Surface, n: int, length: int) -> MukaiVector:
-    return MukaiVector(2, n, (n * n * s.h_squared) // 2 - length + 2)
+    n = inp.n
+    return MukaiVector(2, n, (n * n * inp.surface.h_squared) // 2 - inp.length + 2)
 
 
 _EXCEPTIONAL_VECTOR = MukaiVector(2, 3, 5)  # on H.H = 2
@@ -145,7 +142,8 @@ def _classify_point(
     and `threshold_sensitive` flag (pairing 0 or 1) are worked out once for
     the whole run, and its listing is built straight from the run tuple.
     """
-    v = _extension_vector(s, n, length)
+    # bn_mukai_vector's vector, built here without a BNInput or another call
+    v = MukaiVector(2, n, (n * n * s.h_squared) // 2 - length + 2)
     hilb_dim = 2 * length
     is_exc = exceptional(s, v)
     if length > h0:

@@ -204,9 +204,9 @@ def scan_rows(
 ) -> list[ScanRow]:
     """One classification row per (n, N) over inclusive ranges, in row order.
 
-    Each twist is one `bn_row`, whose listings (those of `bn_runs`) a row
-    reads and never expands, so a row costs O(n) however many components
-    its point has.
+    Each twist is one `bn_row`.  The row of a point reads its listings
+    (those of `bn_runs`) and never expands them, so it costs O(n) however
+    many components the point has.
     """
     if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
         raise ValueError("empty range")
