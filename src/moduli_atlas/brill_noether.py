@@ -126,7 +126,8 @@ def _row_tables(s: Surface, n: int) -> tuple[list, list[int]]:
     """What every point of twist n shares: the run table and the quotient cap of each m.
 
     m <= n - 1 keeps the quotient twist n - m >= 1, and a(quotient) > -1
-    caps the quotient length at (n-m)^2*H.H/2 + 1, a lower bound on ell1.
+    caps the quotient length at (n-m)^2*H.H/2 + 1, a lower bound on ell1;
+    the cap of m sits at index m - ceil(n/2), next to the table's row of m.
     """
     h2 = s.h_squared
     caps = [(q * q * h2) // 2 + 1 for q in range(n - (n + 1) // 2, 0, -1)]
