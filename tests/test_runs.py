@@ -8,9 +8,9 @@ agree with what the per-type formulas (`dim_hn_stratum`,
 
 import pytest
 
-from moduli_atlas.brill_noether import VERDICT_WHOLE, BNInput, classify_bn
+from moduli_atlas.brill_noether import VERDICT_WHOLE, BNInput, bn_mukai_vector, bn_runs, classify_bn
 from moduli_atlas.hn import dim_hn_stratum, make_hn_type
-from moduli_atlas.lattice import MukaiVector, Surface
+from moduli_atlas.lattice import MukaiVector, Surface, euler_characteristic, h0_line_bundle
 from moduli_atlas.oracle import oracle_bn, oracle_enumerate
 from moduli_atlas.report import ScanRow, scan_rows
 from moduli_atlas.torsion_free import classify_tf_components, mss_nonempty
@@ -55,6 +55,47 @@ def test_scan_rows_match_expanded_components_and_oracle(h2, threshold, length_ra
         if row.verdict != VERDICT_WHOLE:
             dims = ora.dimensions
             assert (row.min_dim, row.max_dim) == ((dims[0], dims[-1]) if dims else (None, None))
+
+
+def brute_alpha_types(s: Surface, n: int, length: int, threshold: int) -> list:
+    """The alpha types (m, ell1, ell2) at one point, type by type from the conditions."""
+    v = bn_mukai_vector(BNInput(s, n, length))
+    if euler_characteristic(v) <= 0 or length > h0_line_bundle(s, n):
+        return []
+    found = []
+    for m in range(n):  # m <= n - 1
+        q = n - m
+        for ell2 in range(h0_line_bundle(s, q)):
+            ell1 = length - m * q * s.h_squared - ell2
+            try:
+                t = make_hn_type(s, v, m, ell1)
+            except ValueError:
+                continue
+            assert t.ell2 == ell2
+            if t.sub_quotient_pairing() <= threshold:
+                found.append(t.triple())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("threshold", [1, 0, -1])
+@pytest.mark.parametrize("h2", [2, 4, 6])
+def test_bn_alpha_listings_expand_to_brute_force_types(h2, threshold):
+    # the oracle compares counts and dimensions only, so this pins the ranges
+    # themselves: a listing shifted by one in ell1 fails here
+    s = Surface(h2)
+    listed = 0
+    for n in range(N_MAX + 1):
+        for length in range(161):
+            runs = bn_runs(BNInput(s, n, length), threshold)
+            types = [
+                (m, ell1, ell2)
+                for kind, _, _, _, _, m, ell1s, ell2s in runs.listings
+                if kind == "alpha"
+                for ell1, ell2 in zip(ell1s, ell2s)
+            ]
+            assert types == brute_alpha_types(s, n, length, threshold), (n, length)
+            listed += len(types)
+    assert listed > 0
 
 
 def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
