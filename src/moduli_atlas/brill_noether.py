@@ -28,9 +28,19 @@ The command line writes them, `oracle.sweep` reads them, and `classify_bn`
 expands them into `ComponentRecord`s.  `bn_row(s, n, lengths, threshold)`
 gives the same answers along one twist n, the way `report.scan_rows` reads
 them: it checks n and the lengths once, and works out the run table of `hn`
-(`run_table(s, n, n - 1)`) and each run's quotient cap once for the row.
-Both classify each point with one shared step, which builds each alpha
-listing straight from the plain run tuples of `hn.table_runs`.
+(`run_table(s, n, n - 1)`) once for the row.  Both classify each point with
+one shared step, which reads the plain run tuples of `hn.table_runs` and
+hands each kept alpha run to `hn.run_listing`.
+
+The quotient cap.  a(quotient) > -1 caps the quotient length at
+ell2 <= (n-m)^2*H.H/2 + 1, a lower bound on ell1 of the run of m.  With
+q = n - m, budget - cap = N - m*q*H.H - q^2*H.H/2 - 1 and q*(2m + q) =
+n^2 - m^2, so the bound is
+
+    ell1 >= N - 1 - (n^2 - m^2)*H.H/2,
+
+affine in N with a constant per (H.H, n, m): the part N - 1 - n^2*H.H/2 is
+worked out once per point and m^2*H.H/2 is added per run.
 
 The paper's closed-form component dimensions are not used here;
 `oracle.bn_component_dimension_identities` checks the listings against them.
@@ -41,7 +51,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .hn import ComponentRecord, expand_listings, run_table, table_runs
+from .hn import ComponentRecord, expand_listings, run_listing, run_table, table_runs
 from .lattice import (
     MukaiVector,
     Surface,
@@ -122,26 +132,14 @@ class BNRuns:
     listings: tuple[tuple, ...]
 
 
-def _row_tables(s: Surface, n: int) -> tuple[list, list[int]]:
-    """What every point of twist n shares: the run table and the quotient cap of each m.
+def _classify_point(s: Surface, n: int, length: int, h0: int, table, threshold: int) -> BNRuns:
+    """Classify W at one length, given h^0(O(n*H)) and `run_table(s, n, n - 1)`.
 
-    m <= n - 1 keeps the quotient twist n - m >= 1, and a(quotient) > -1
-    caps the quotient length at (n-m)^2*H.H/2 + 1, a lower bound on ell1;
-    the cap of m sits at index m - ceil(n/2), next to the table's row of m.
-    """
-    h2 = s.h_squared
-    caps = [(q * q * h2) // 2 + 1 for q in range(n - (n + 1) // 2, 0, -1)]
-    return run_table(s, n, n - 1), caps
-
-
-def _classify_point(
-    s: Surface, n: int, length: int, h0: int, table: list, caps: list[int], threshold: int
-) -> BNRuns:
-    """Classify W at one length, given the `_row_tables` of its twist and h^0(O(n*H)).
-
-    Each alpha run's dimension (stratum dimension plus chi(v)), codimension
-    and `threshold_sensitive` flag (pairing 0 or 1) are worked out once for
-    the whole run, and its listing is built straight from the run tuple.
+    m <= n - 1 keeps the quotient twist n - m >= 1.  Each alpha run's
+    dimension (stratum dimension plus chi(v)), codimension and
+    `threshold_sensitive` flag (pairing 0 or 1) are worked out once for the
+    whole run, and the run is cut from below by the quotient cap (see the
+    module docstring).
     """
     # bn_mukai_vector's vector, built here without a BNInput or another call
     v = MukaiVector(2, n, (n * n * s.h_squared) // 2 - length + 2)
@@ -155,19 +153,20 @@ def _classify_point(
     if mss is not None:
         dim = mss + chi
         listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
-    first = (n + 1) // 2  # the m of the table's first row
+    half = s.h_squared // 2
+    capped = length - 1 - n * n * half  # the cap's bound on ell1, less m^2*H.H/2
     for m, hi, budget, pairing, dimension in table_runs(length, table):
         if pairing > threshold:
             continue
-        lo = budget - caps[m - first]
+        lo = capped + m * m * half
         if lo < 0:
             lo = 0
         if lo <= hi:
             dim = dimension + chi
-            listings.append((
-                "alpha", dim, hilb_dim - dim, None, pairing in (0, 1),
-                m, range(lo, hi + 1), range(budget - lo, budget - hi - 1, -1),
-            ))
+            sensitive = pairing in (0, 1)
+            listings.append(
+                run_listing("alpha", dim, hilb_dim - dim, None, sensitive, m, lo, hi, budget)
+            )
     verdict = VERDICT_COMPONENTS if listings else VERDICT_EMPTY
     return BNRuns(verdict, hilb_dim, v, is_exc, tuple(listings))
 
@@ -177,8 +176,8 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
     s, n, length = inp.surface, inp.n, inp.length
     h0 = h0_line_bundle(s, n)
     # the whole scheme reads no run, so a single point builds no table for it
-    table, caps = _row_tables(s, n) if length <= h0 else ((), ())
-    return _classify_point(s, n, length, h0, table, caps, threshold)
+    table = run_table(s, n, n - 1) if length <= h0 else ()
+    return _classify_point(s, n, length, h0, table, threshold)
 
 
 def bn_row(
@@ -187,16 +186,16 @@ def bn_row(
     """`bn_runs` at twist n and each length of `lengths` (a sequence), in order.
 
     n and the lengths are checked once, before any point is classified, with
-    the messages and the precedence of `BNInput`; the run table, the
-    quotient caps and h^0(O(n*H)) are worked out once for the whole row.
+    the messages and the precedence of `BNInput`; the run table and
+    h^0(O(n*H)) are worked out once for the whole row.
     """
     if n < 0:
         raise ValueError("twist degree must be nonnegative")
     if lengths and min(lengths) < 0:
         raise ValueError("negative subscheme length")
     h0 = h0_line_bundle(s, n)
-    table, caps = _row_tables(s, n)
-    return (_classify_point(s, n, length, h0, table, caps, threshold) for length in lengths)
+    table = run_table(s, n, n - 1)
+    return (_classify_point(s, n, length, h0, table, threshold) for length in lengths)
 
 
 def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:

@@ -28,20 +28,22 @@ so a(v1) + a(v2) = (m^2 + q^2)*H.H/2 - b + 2 and
 which makes the stratum dimension <v1,v1> + <v2,v2> + <v1,v2> + 2 equal to
 2*b - 2 + <v1, v2>.  Neither the pairing nor the dimension depends on ell1,
 so all types of one m form a run of consecutive ell1 with one pairing and
-one dimension (`HNRun`, built by `hn_runs`).  The cuts on a type become
-bounds on ell1: the length budget gives 0 <= ell1 <= b, the equal-slope
-order ell1 < ell2 gives ell1 <= (b - 1)/2, and the Brill-Noether quotient
-cap ell2 <= cap gives ell1 >= b - cap.  Classifiers therefore work per m and
-only list types when they must report them one by one.
+one dimension.  The cuts on a type become bounds on ell1: the length budget
+gives 0 <= ell1 <= b, the equal-slope order ell1 < ell2 gives
+ell1 <= (b - 1)/2, and the Brill-Noether quotient cap ell2 <= cap gives
+ell1 >= b - cap.  Classifiers therefore work per m and only list types when
+they must report them one by one.
 
 The run table.  Of all this, only b and the pairing depend on c2, and each
 is c2 minus a constant of (H.H, n, m): m*q*H.H and (m^2 + q^2)*H.H/2.
 `run_table(s, n, m_max)` holds those two constants and the equal-slope flag
 m == q once per m, and `table_runs(c2, table)` turns a table into the runs
 at one c2 as plain tuples (m, ell1_hi, budget, pairing, dimension): the one
-place where the budget, ell1_hi, the pairing and the dimension are computed.
-`hn_runs` wraps the tuples in `HNRun`s; the Brill-Noether classifier builds
-one table per twist n and reads it at every length of a row.
+place where the budget, ell1_hi, the pairing and the dimension are computed,
+and the one shape of a run.  The run of such a tuple holds the types
+(m, ell1, budget - ell1) for 0 <= ell1 <= ell1_hi.  `hn_runs` lists the
+tuples of one vector; the Brill-Noether classifier builds one table per
+twist n and reads it at every length of a row.
 
 Listings.  What a classifier reports for one run is a plain tuple
 
@@ -49,17 +51,17 @@ Listings.  What a classifier reports for one run is a plain tuple
 
 whose first five entries are the fields every component of the run shares,
 worked out once per run, and whose ell1s and ell2s are equal-length
-sequences of the lengths (for a run, two ranges: `run_listing`).  An untyped entry (the semistable or
-the beta component) has m = ell1s = ell2s = None and stands for one
-component.  The report writers print listings as they are, and
-`expand_listings` turns them into the `ComponentRecord`s of the library API.
+sequences of the lengths: for a run, the two ranges that `run_listing`, and
+nothing else, builds.  An untyped entry (the semistable or the beta
+component) has m = ell1s = ell2s = None and stands for one component.
+The report writers print listings as they are, and `expand_listings` turns
+them into the `ComponentRecord`s of the library API.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 from .lattice import (
     MukaiVector,
@@ -71,7 +73,6 @@ from .lattice import (
 
 __all__ = [
     "HNType",
-    "HNRun",
     "ComponentRecord",
     "SEMISTABLE",
     "run_listing",
@@ -111,29 +112,6 @@ class HNType:
         return (self.m, self.ell1, self.ell2)
 
 
-@dataclass(slots=True)
-class HNRun:
-    """The types (m, ell1, budget - ell1) of one m, for 0 <= ell1 <= ell1_hi.
-
-    `budget` is the length budget ell1 + ell2; `pairing` (sub/quotient) and
-    `dimension` (of the stratum) are shared by every type of the run; see
-    the module docstring.  Not frozen: `hn_runs` builds one per run on every
-    call, a frozen dataclass costs about four times as much to build, and
-    nothing hashes or keeps a run.
-    """
-
-    m: int
-    ell1_hi: int
-    budget: int
-    pairing: int
-    dimension: int
-
-    def triples(self) -> Iterator[tuple[int, int, int]]:
-        """The run's types (m, ell1, ell2), in increasing ell1."""
-        hi, budget = self.ell1_hi, self.budget
-        return zip(repeat(self.m), range(hi + 1), range(budget, budget - hi - 1, -1))
-
-
 @dataclass(frozen=True, slots=True)
 class ComponentRecord:
     """One listed stratum or component, as both classifiers report it.
@@ -165,14 +143,19 @@ def run_listing(
     codimension: int | None,
     absorbed: bool | None,
     threshold_sensitive: bool | None,
-    run: HNRun,
+    m: int,
     lo: int,
+    hi: int,
+    budget: int,
 ) -> tuple:
-    """The listing of the types of `run` with ell1 >= lo, sharing the given fields."""
-    hi, budget = run.ell1_hi, run.budget
+    """The listing of the types (m, ell1, budget - ell1) with lo <= ell1 <= hi.
+
+    The one place where a listing's two length ranges are built; every
+    component of the listing shares the fields given before m.
+    """
     return (
         kind, dimension, codimension, absorbed, threshold_sensitive,
-        run.m, range(lo, hi + 1), range(budget - lo, budget - hi - 1, -1),
+        m, range(lo, hi + 1), range(budget - lo, budget - hi - 1, -1),
     )
 
 
@@ -250,9 +233,8 @@ def run_table(s: Surface, n: int, m_max: int) -> list[tuple[int, int, int, bool]
 def table_runs(c2: int, table) -> Iterator[tuple[int, int, int, int, int]]:
     """The nonempty runs at second Chern number c2 over a `run_table`.
 
-    Yields (m, ell1_hi, budget, pairing, dimension) per m in table order,
-    the fields of `HNRun`: this is where the per-m budget, pairing and
-    dimension are computed.
+    Yields (m, ell1_hi, budget, pairing, dimension) per m in table order:
+    this is where the per-m budget, pairing and dimension are computed.
     """
     for m, cross, square, equal in table:
         budget = c2 - cross
@@ -263,15 +245,15 @@ def table_runs(c2: int, table) -> Iterator[tuple[int, int, int, int, int]]:
             yield m, top, budget, pairing, 2 * budget - 2 + pairing
 
 
-def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[HNRun]:
+def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int, int, int]]:
     """The nonempty runs of valid types on v, one per m in ceil(n/2) <= m <= m_max.
 
-    `table_runs` over `run_table`, one `HNRun` per run; expanding the runs in
-    order gives enumerate_hn_types(s, v, m_max).
+    The `table_runs` tuples (m, ell1_hi, budget, pairing, dimension) over
+    `run_table`; expanding them in order gives enumerate_hn_types(s, v, m_max).
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
-    return [HNRun(*run) for run in table_runs(second_chern(s, v), run_table(s, v.deg, m_max))]
+    return list(table_runs(second_chern(s, v), run_table(s, v.deg, m_max)))
 
 
 def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:
@@ -280,7 +262,11 @@ def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:
     Deterministic, duplicate-free, and monotone in the window: the list for a
     smaller m_max is a prefix of the list for a larger one.
     """
-    return [HNType(s, v, *t) for run in hn_runs(s, v, m_max) for t in run.triples()]
+    return [
+        HNType(s, v, m, ell1, budget - ell1)
+        for m, hi, budget, _, _ in hn_runs(s, v, m_max)
+        for ell1 in range(hi + 1)
+    ]
 
 
 def dim_hn_stratum(t: HNType) -> int:

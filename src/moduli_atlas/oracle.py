@@ -265,7 +265,7 @@ def _type_checks(
     """
     runs = hn_runs(s, v, m_max)
     strata = oracle_strata(s, v, m_max, pieces)
-    main = [(*t, r.dimension) for r in runs for t in r.triples()]
+    main = [(m, e, budget - e, dim) for m, hi, budget, _, dim in runs for e in range(hi + 1)]
     found: list[tuple[str, object, object]] = []
     if main != strata:
         main_triples = [t[:3] for t in main]
@@ -277,10 +277,10 @@ def _type_checks(
             want = ora_dims.get(t[:3], t[3])
             if want != t[3]:
                 found.append((f"stratum_dimension{t[:3]}", t[3], want))
-    for r in runs:
-        closed = dim_hn_closed_form(HNType(s, v, *next(r.triples())))
-        if r.dimension != closed:
-            found.append((f"dim_formula[{r.m}]", r.dimension, closed))
+    for m, _, budget, _, dim in runs:
+        closed = dim_hn_closed_form(HNType(s, v, m, 0, budget))
+        if dim != closed:
+            found.append((f"dim_formula[{m}]", dim, closed))
     return found
 
 

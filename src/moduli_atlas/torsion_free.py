@@ -79,9 +79,9 @@ def tf_listings(
     out: list[tuple] = []
     if nonempty:
         out.append(("semistable", mss, None, False, None, None, None, None))
-    for run in runs:
-        absorbed = nonempty and run.pairing > threshold
-        out.append(run_listing("hn", run.dimension, None, absorbed, None, run, 0))
+    for m, hi, budget, pairing, dimension in runs:
+        absorbed = nonempty and pairing > threshold
+        out.append(run_listing("hn", dimension, None, absorbed, None, m, 0, hi, budget))
     return out
 
 

@@ -11,6 +11,7 @@ from moduli_atlas.hn import (
     hn_runs,
     hnp_dominates,
     make_hn_type,
+    run_listing,
 )
 from moduli_atlas.lattice import (
     MukaiVector,
@@ -195,12 +196,12 @@ def test_enumeration_complete(ctx):
 @example((S4, MukaiVector(2, 2, 0), 2))  # equal slope, budget 6
 def test_run_triples_expand_ell1_in_order(ctx):
     s, v, m_max = ctx
-    for run in hn_runs(s, v, m_max):
-        m, budget = run.m, run.budget
+    for m, hi, budget, pairing, dimension in hn_runs(s, v, m_max):
         if m == v.deg - m:
-            assert 2 * run.ell1_hi < budget
-        expected = [(m, e, budget - e) for e in range(run.ell1_hi + 1)]
-        assert list(run.triples()) == expected
+            assert 2 * hi < budget
+        expected = [(m, e, budget - e) for e in range(hi + 1)]
+        listing = run_listing("hn", dimension, None, False, None, m, 0, hi, budget)
+        assert [(listing[5], e1, e2) for e1, e2 in zip(listing[6], listing[7])] == expected
 
 
 @settings(deadline=None)

@@ -168,10 +168,10 @@ def test_sweep_detects_seeded_enumeration_fault(monkeypatch):
 
     def drop_last_type(s, v, m_max):
         runs = honest(s, v, m_max)
-        last = runs[-1]
-        if last.ell1_hi == 0:
+        m, hi, budget, pairing, dimension = runs[-1]
+        if hi == 0:
             return runs[:-1]
-        return runs[:-1] + [dataclasses.replace(last, ell1_hi=last.ell1_hi - 1)]
+        return runs[:-1] + [(m, hi - 1, budget, pairing, dimension)]
 
     monkeypatch.setattr(oracle, "hn_runs", drop_last_type)
     records = sweep(GridSpec((2,), (3, 3), (6, 6)), 1)
