@@ -28,9 +28,11 @@ The command line writes them, `oracle.sweep` reads them, and `classify_bn`
 expands them into `ComponentRecord`s.  `bn_row(s, n, lengths, threshold)`
 gives the same answers along one twist n, the way `report.scan_rows` reads
 them: it checks n and the lengths once, and works out the run table of `hn`
-(`run_table(s, n, n - 1)`) once for the row.  Both classify each point with
-one shared step, which reads the plain run tuples of `hn.table_runs` and
-hands each kept alpha run to `hn.run_listing`.
+(`run_table(s, n, n - 1, N)`, N the row's largest length that is not the
+whole scheme) once for the row.  A table keeps only the m with
+m*(n-m)*H.H <= N, so a point costs O(#runs), not O(n).  Both classify each
+point with one shared step, which reads the plain run tuples of
+`hn.table_runs` and hands each kept alpha run to `hn.run_listing`.
 
 The quotient cap.  a(quotient) > -1 caps the quotient length at
 ell2 <= (n-m)^2*H.H/2 + 1, a lower bound on ell1 of the run of m.  With
@@ -117,12 +119,13 @@ def exceptional(s: Surface, v: MukaiVector) -> bool:
     return s.h_squared == 2 and v == _EXCEPTIONAL_VECTOR
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BNRuns:
     """The classification of W, with its components as listings (see `hn`).
 
     The beta entry comes first when there is one, then one alpha listing per
-    run, already cut by the quotient cap and the threshold.
+    run, already cut by the quotient cap and the threshold.  Not frozen,
+    since one is built per point of a `scan`; nothing hashes or changes it.
     """
 
     verdict: str
@@ -133,7 +136,8 @@ class BNRuns:
 
 
 def _classify_point(s: Surface, n: int, length: int, h0: int, table, threshold: int) -> BNRuns:
-    """Classify W at one length, given h^0(O(n*H)) and `run_table(s, n, n - 1)`.
+    """Classify W at one length, given h^0(O(n*H)) and `run_table(s, n, n - 1, N)`
+    for some N >= length.
 
     m <= n - 1 keeps the quotient twist n - m >= 1.  Each alpha run's
     dimension (stratum dimension plus chi(v)), codimension and
@@ -172,11 +176,11 @@ def _classify_point(s: Surface, n: int, length: int, h0: int, table, threshold: 
 
 
 def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
-    """Classify W per sub-degree m, in O(n) whatever the number of components."""
+    """Classify W per sub-degree m, in O(#runs) whatever the number of components."""
     s, n, length = inp.surface, inp.n, inp.length
     h0 = h0_line_bundle(s, n)
     # the whole scheme reads no run, so a single point builds no table for it
-    table = run_table(s, n, n - 1) if length <= h0 else ()
+    table = run_table(s, n, n - 1, length) if length <= h0 else ()
     return _classify_point(s, n, length, h0, table, threshold)
 
 
@@ -187,14 +191,16 @@ def bn_row(
 
     n and the lengths are checked once, before any point is classified, with
     the messages and the precedence of `BNInput`; the run table and
-    h^0(O(n*H)) are worked out once for the whole row.
+    h^0(O(n*H)) are worked out once for the whole row, the table up to the
+    largest length that is not the whole scheme (a length past h^0 reads no
+    run).
     """
     if n < 0:
         raise ValueError("twist degree must be nonnegative")
     if lengths and min(lengths) < 0:
         raise ValueError("negative subscheme length")
     h0 = h0_line_bundle(s, n)
-    table = run_table(s, n, n - 1)
+    table = run_table(s, n, n - 1, max((x for x in lengths if x <= h0), default=-1))
     return (_classify_point(s, n, length, h0, table, threshold) for length in lengths)
 
 

@@ -36,14 +36,17 @@ they must report them one by one.
 
 The run table.  Of all this, only b and the pairing depend on c2, and each
 is c2 minus a constant of (H.H, n, m): m*q*H.H and (m^2 + q^2)*H.H/2.
-`run_table(s, n, m_max)` holds those two constants and the equal-slope flag
-m == q once per m, and `table_runs(c2, table)` turns a table into the runs
-at one c2 as plain tuples (m, ell1_hi, budget, pairing, dimension): the one
-place where the budget, ell1_hi, the pairing and the dimension are computed,
-and the one shape of a run.  The run of such a tuple holds the types
-(m, ell1, budget - ell1) for 0 <= ell1 <= ell1_hi.  `hn_runs` lists the
-tuples of one vector; the Brill-Noether classifier builds one table per
-twist n and reads it at every length of a row.
+`run_table(s, n, m_max, c2_max)` holds those two constants and the
+equal-slope flag m == q once per m, and `table_runs(c2, table)` turns a
+table into the runs at one c2 <= c2_max as plain tuples (m, ell1_hi,
+budget, pairing, dimension): the one place where the budget, ell1_hi, the
+pairing and the dimension are computed, and the one shape of a run.  The
+run of such a tuple holds the types (m, ell1, budget - ell1) for
+0 <= ell1 <= ell1_hi.  A table leaves out the low m whose budget is
+negative even at c2_max.  `hn_runs` lists the tuples of one vector; the
+Brill-Noether classifier builds one table per twist n, up to the largest
+length of a row that is not the whole scheme, and reads it at every length
+of the row.
 
 Listings.  What a classifier reports for one run is a plain tuple
 
@@ -215,19 +218,28 @@ def make_hn_type(s: Surface, v: MukaiVector, m: int, ell1: int) -> HNType:
     return HNType(s, v, m, ell1, ell2)
 
 
-def run_table(s: Surface, n: int, m_max: int) -> list[tuple[int, int, int, bool]]:
-    """The per-m constants of every rank-2 vector of degree n, for ceil(n/2) <= m <= m_max.
+def run_table(
+    s: Surface, n: int, m_max: int, c2_max: int
+) -> list[tuple[int, int, int, bool]]:
+    """The per-m constants of every rank-2 vector of degree n and c2 <= c2_max.
 
     One row (m, m*q*H.H, (m^2 + q^2)*H.H/2, m == q) per m, with q = n - m:
-    what the runs of one m share whatever c2 is (see `table_runs`).
+    what the runs of one m share whatever c2 is (see `table_runs`).  The
+    rows run up to m_max, and down from it only as far as m*q*H.H <= c2_max:
+    for m >= n/2, m*q*H.H grows as m falls, so every lower m would have a
+    negative length budget.  A table costs the rows it keeps, not the width
+    of the window.
     """
     h2 = s.h_squared
     half = (n * n * h2) // 2  # m*q + (m^2 + q^2)/2 = n^2/2, since m + q = n
-    return [
-        (m, cross, half - cross, 2 * m == n)
-        for m in range((n + 1) // 2, m_max + 1)
-        for cross in (m * (n - m) * h2,)
-    ]
+    rows = []
+    for m in range(m_max, (n + 1) // 2 - 1, -1):
+        cross = m * (n - m) * h2
+        if cross > c2_max:
+            break
+        rows.append((m, cross, half - cross, 2 * m == n))
+    rows.reverse()
+    return rows
 
 
 def table_runs(c2: int, table) -> Iterator[tuple[int, int, int, int, int]]:
@@ -253,7 +265,8 @@ def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int,
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
-    return list(table_runs(second_chern(s, v), run_table(s, v.deg, m_max)))
+    c2 = second_chern(s, v)
+    return list(table_runs(c2, run_table(s, v.deg, m_max, c2)))
 
 
 def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:

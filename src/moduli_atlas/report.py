@@ -183,8 +183,10 @@ def parse_json(text: str) -> ReportRecord:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScanRow:
+    """One `scan` row; not frozen, since one is built per point."""
+
     h_squared: int
     n: int
     length: int
@@ -205,7 +207,7 @@ def scan_rows(
     """One classification row per (n, N) over inclusive ranges, in row order.
 
     Each twist is one `bn_row`.  The row of a point reads its listings
-    (those of `bn_runs`) and never expands them, so it costs O(n) however
+    (those of `bn_runs`) and never expands them, so it costs O(#runs) however
     many components the point has.
     """
     if n_range[0] > n_range[1] or length_range[0] > length_range[1]:

@@ -8,7 +8,15 @@ agree with what the per-type formulas (`dim_hn_stratum`,
 
 import pytest
 
-from moduli_atlas.brill_noether import VERDICT_WHOLE, BNInput, bn_mukai_vector, bn_runs, classify_bn
+from moduli_atlas.brill_noether import (
+    VERDICT_EMPTY,
+    VERDICT_WHOLE,
+    BNInput,
+    bn_mukai_vector,
+    bn_row,
+    bn_runs,
+    classify_bn,
+)
 from moduli_atlas.hn import dim_hn_stratum, make_hn_type
 from moduli_atlas.lattice import MukaiVector, Surface, euler_characteristic, h0_line_bundle
 from moduli_atlas.oracle import oracle_bn, oracle_enumerate
@@ -104,15 +112,37 @@ def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
     calls = []
     honest = bn.run_table
 
-    def counting(s, n, m_max):
-        calls.append((s, n, m_max))
-        return honest(s, n, m_max)
+    def counting(s, n, m_max, c2_max):
+        calls.append((s, n, m_max, c2_max))
+        return honest(s, n, m_max, c2_max)
 
     monkeypatch.setattr(bn, "run_table", counting)
     s = Surface(2)
     rows = scan_rows(s, (0, 4), (0, 12), 1)
     assert len(rows) == 5 * 13
-    assert calls == [(s, n, n - 1) for n in range(5)]
+    # each table reaches the row's largest length that is not the whole scheme
+    assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n))) for n in range(5)]
+
+
+def test_a_point_costs_its_runs_not_its_twist():
+    # at n = 10**6 and N <= 9 every m has m*(n-m)*H.H > N, so no run is
+    # nonempty, and N = 2*10**12 > h^0 is the whole scheme, which reads no
+    # run; the run table must not hold the n/2 rows they would skip
+    import tracemalloc
+
+    s = Surface(2)
+    tracemalloc.start()
+    try:
+        runs = bn_runs(BNInput(s, 10**6, 5))
+        row = list(bn_row(s, 10**6, range(10), 1))
+        whole = list(bn_row(s, 10**6, [2 * 10**12], 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (runs.verdict, runs.listings) == (VERDICT_EMPTY, ())
+    assert [(r.verdict, r.listings) for r in row] == [(VERDICT_EMPTY, ())] * 10
+    assert [(r.verdict, r.listings) for r in whole] == [(VERDICT_WHOLE, ())]
 
 
 @pytest.mark.parametrize("window", [0, 2])
