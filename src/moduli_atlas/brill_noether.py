@@ -22,17 +22,17 @@ The threshold defaults to 1; components whose sub/quotient pairing is 0 or 1
 exist under one reading of the inclusion bound but not the other, and carry a
 `threshold_sensitive` flag.
 
-`bn_runs` is the one classification: it works per sub-degree m and returns
-the components as listings (see `hn`), the beta entry and one per alpha run.
-The command line writes them, `oracle.sweep` reads them, and `classify_bn`
-expands them into `ComponentRecord`s.  `bn_row(s, n, lengths, threshold)`
-gives the same answers along one twist n, the way `report.scan_rows` reads
-them: it checks n and the lengths once, and works out the run table of `hn`
-(`run_table(s, n, n - 1, N)`, N the row's largest length that is not the
-whole scheme) once for the row.  A table keeps only the m with
-m*(n-m)*H.H <= N, so a point costs O(#runs), not O(n).  Both classify each
-point with one shared step, which reads the plain run tuples of
-`hn.table_runs` and hands each kept alpha run to `hn.run_listing`.
+`bn_row(s, n, lengths, threshold)` is the one classification: per
+sub-degree m, it gives at each length along one twist n the components as
+listings (see `hn`), the beta entry and one per alpha run.  `scan_rows`
+reads rows; `bn_runs` is the one-length row, which the command line writes,
+`oracle.sweep` reads and `classify_bn` expands into `ComponentRecord`s.  A
+row works out the run table of `hn` once, cut twice: by the budget at N,
+the row's largest length that is not the whole scheme, and by the pairing
+floor N0 - 2 - threshold, N0 its shortest length (an m below it has a
+pairing above the threshold at every length).  So a point costs O(#runs),
+not O(n).  Each point reads the plain run tuples of `hn.table_runs` and
+hands each kept alpha run to `hn.run_listing`.
 
 The quotient cap.  a(quotient) > -1 caps the quotient length at
 ell2 <= (n-m)^2*H.H/2 + 1, a lower bound on ell1 of the run of m.  With
@@ -135,9 +135,34 @@ class BNRuns:
     listings: tuple[tuple, ...]
 
 
-def _classify_point(s: Surface, n: int, length: int, h0: int, table, threshold: int) -> BNRuns:
-    """Classify W at one length, given h^0(O(n*H)) and `run_table(s, n, n - 1, N)`
-    for some N >= length.
+def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
+    """Classify W in O(#runs) whatever the number of components: the one-length `bn_row`."""
+    return next(bn_row(inp.surface, inp.n, (inp.length,), threshold))
+
+
+def bn_row(
+    s: Surface, n: int, lengths, threshold: int = DEFAULT_THRESHOLD
+) -> Iterator[BNRuns]:
+    """Classify W at twist n and each length of `lengths` (a sequence), in order.
+
+    n and the lengths are checked here, before any point is classified, with
+    the messages and the precedence of `BNInput`; h^0(O(n*H)) and the run
+    table (see the module docstring) are worked out once for the whole row.
+    """
+    if n < 0:
+        raise ValueError("twist degree must be nonnegative")
+    shortest = min(lengths) if lengths else 0
+    if shortest < 0:
+        raise ValueError("negative subscheme length")
+    h0 = h0_line_bundle(s, n)
+    c2_max = max((x for x in lengths if x <= h0), default=-1)
+    table = run_table(s, n, n - 1, c2_max, shortest - 2 - threshold)
+    return _row_runs(s, n, lengths, h0, table, threshold)
+
+
+def _row_runs(s: Surface, n: int, lengths, h0: int, table, threshold: int) -> Iterator[BNRuns]:
+    """Classify W at each length, given h^0(O(n*H)) and a `run_table` of twist n
+    that holds every run some length can list.
 
     m <= n - 1 keeps the quotient twist n - m >= 1.  Each alpha run's
     dimension (stratum dimension plus chi(v)), codimension and
@@ -145,63 +170,37 @@ def _classify_point(s: Surface, n: int, length: int, h0: int, table, threshold: 
     whole run, and the run is cut from below by the quotient cap (see the
     module docstring).
     """
-    # bn_mukai_vector's vector, built here without a BNInput or another call
-    v = MukaiVector(2, n, (n * n * s.h_squared) // 2 - length + 2)
-    hilb_dim = 2 * length
-    is_exc = exceptional(s, v)
-    if length > h0:
-        return BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
-    chi = euler_characteristic(v)
-    listings: list[tuple] = []
-    mss = _mss_dim(s, v) if n >= 1 and not is_exc else None
-    if mss is not None:
-        dim = mss + chi
-        listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
     half = s.h_squared // 2
-    capped = length - 1 - n * n * half  # the cap's bound on ell1, less m^2*H.H/2
-    for m, hi, budget, pairing, dimension in table_runs(length, table):
-        if pairing > threshold:
+    top = n * n * half  # n^2*H.H/2
+    for length in lengths:
+        # bn_mukai_vector's vector, built here without a BNInput or another call
+        v = MukaiVector(2, n, top - length + 2)
+        hilb_dim = 2 * length
+        is_exc = exceptional(s, v)
+        if length > h0:
+            yield BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
             continue
-        lo = capped + m * m * half
-        if lo < 0:
-            lo = 0
-        if lo <= hi:
-            dim = dimension + chi
-            sensitive = pairing in (0, 1)
-            listings.append(
-                run_listing("alpha", dim, hilb_dim - dim, None, sensitive, m, lo, hi, budget)
-            )
-    verdict = VERDICT_COMPONENTS if listings else VERDICT_EMPTY
-    return BNRuns(verdict, hilb_dim, v, is_exc, tuple(listings))
-
-
-def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
-    """Classify W per sub-degree m, in O(#runs) whatever the number of components."""
-    s, n, length = inp.surface, inp.n, inp.length
-    h0 = h0_line_bundle(s, n)
-    # the whole scheme reads no run, so a single point builds no table for it
-    table = run_table(s, n, n - 1, length) if length <= h0 else ()
-    return _classify_point(s, n, length, h0, table, threshold)
-
-
-def bn_row(
-    s: Surface, n: int, lengths, threshold: int = DEFAULT_THRESHOLD
-) -> Iterator[BNRuns]:
-    """`bn_runs` at twist n and each length of `lengths` (a sequence), in order.
-
-    n and the lengths are checked once, before any point is classified, with
-    the messages and the precedence of `BNInput`; the run table and
-    h^0(O(n*H)) are worked out once for the whole row, the table up to the
-    largest length that is not the whole scheme (a length past h^0 reads no
-    run).
-    """
-    if n < 0:
-        raise ValueError("twist degree must be nonnegative")
-    if lengths and min(lengths) < 0:
-        raise ValueError("negative subscheme length")
-    h0 = h0_line_bundle(s, n)
-    table = run_table(s, n, n - 1, max((x for x in lengths if x <= h0), default=-1))
-    return (_classify_point(s, n, length, h0, table, threshold) for length in lengths)
+        chi = euler_characteristic(v)
+        listings: list[tuple] = []
+        mss = _mss_dim(s, v) if n >= 1 and not is_exc else None
+        if mss is not None:
+            dim = mss + chi
+            listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
+        capped = length - 1 - top  # the cap's bound on ell1, less m^2*H.H/2
+        for m, hi, budget, pairing, dimension in table_runs(length, table):
+            if pairing > threshold:
+                continue
+            lo = capped + m * m * half
+            if lo < 0:
+                lo = 0
+            if lo <= hi:
+                dim = dimension + chi
+                sensitive = pairing in (0, 1)
+                listings.append(
+                    run_listing("alpha", dim, hilb_dim - dim, None, sensitive, m, lo, hi, budget)
+                )
+        verdict = VERDICT_COMPONENTS if listings else VERDICT_EMPTY
+        yield BNRuns(verdict, hilb_dim, v, is_exc, tuple(listings))
 
 
 def classify_bn(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNReport:

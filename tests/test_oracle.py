@@ -124,17 +124,17 @@ def test_sweep_and_scan_see_a_seeded_listing_fault(monkeypatch):
     # corrupt the alpha listings each point gets, after the per-m runs are right
     import moduli_atlas.brill_noether as bn
 
-    honest = bn._classify_point
+    honest = bn._row_runs
 
     def off_by_one(*args):
-        runs = honest(*args)
-        listings = tuple(
-            (kind, dimension + 1 if kind == "alpha" else dimension, *rest)
-            for kind, dimension, *rest in runs.listings
-        )
-        return dataclasses.replace(runs, listings=listings)
+        for runs in honest(*args):
+            listings = tuple(
+                (kind, dimension + 1 if kind == "alpha" else dimension, *rest)
+                for kind, dimension, *rest in runs.listings
+            )
+            yield dataclasses.replace(runs, listings=listings)
 
-    monkeypatch.setattr(bn, "_classify_point", off_by_one)
+    monkeypatch.setattr(bn, "_row_runs", off_by_one)
     for threshold in (1, -1):
         records = sweep(GridSpec((2,), (2, 3), (0, 8)), threshold)
         assert any(r.check == "bn_summary" for r in records)

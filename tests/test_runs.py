@@ -9,6 +9,7 @@ agree with what the per-type formulas (`dim_hn_stratum`,
 import pytest
 
 from moduli_atlas.brill_noether import (
+    VERDICT_COMPONENTS,
     VERDICT_EMPTY,
     VERDICT_WHOLE,
     BNInput,
@@ -112,30 +113,38 @@ def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
     calls = []
     honest = bn.run_table
 
-    def counting(s, n, m_max, c2_max):
-        calls.append((s, n, m_max, c2_max))
-        return honest(s, n, m_max, c2_max)
+    def counting(s, n, m_max, c2_max, floor):
+        calls.append((s, n, m_max, c2_max, floor))
+        return honest(s, n, m_max, c2_max, floor)
 
     monkeypatch.setattr(bn, "run_table", counting)
     s = Surface(2)
     rows = scan_rows(s, (0, 4), (0, 12), 1)
     assert len(rows) == 5 * 13
-    # each table reaches the row's largest length that is not the whole scheme
-    assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n))) for n in range(5)]
+    # each table reaches the row's largest length that is not the whole scheme,
+    # down to the pairing floor of its shortest length, 0 - 2 - threshold
+    assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n)), -3) for n in range(5)]
 
 
 def test_a_point_costs_its_runs_not_its_twist():
     # at n = 10**6 and N <= 9 every m has m*(n-m)*H.H > N, so no run is
-    # nonempty, and N = 2*10**12 > h^0 is the whole scheme, which reads no
-    # run; the run table must not hold the n/2 rows they would skip
+    # nonempty; at N near h^0 every m has a nonnegative budget, but the
+    # pairing N - 2 - (m^2 + q^2)*H.H/2 exceeds the threshold, so only the
+    # beta component is listed; and N = 2*10**12 > h^0 is the whole scheme,
+    # which reads no run.  The run table must not hold the n/2 rows they skip
     import tracemalloc
 
     s = Surface(2)
+    n = 10**6
+    h0 = h0_line_bundle(s, n)
     tracemalloc.start()
     try:
-        runs = bn_runs(BNInput(s, 10**6, 5))
-        row = list(bn_row(s, 10**6, range(10), 1))
-        whole = list(bn_row(s, 10**6, [2 * 10**12], 1))
+        runs = bn_runs(BNInput(s, n, 5))
+        row = list(bn_row(s, n, range(10), 1))
+        whole = list(bn_row(s, n, [2 * 10**12], 1))
+        top = bn_runs(BNInput(s, n, h0))
+        top_row = list(bn_row(s, n, range(h0 - 9, h0 + 1), 1))
+        whole_point = bn_runs(BNInput(s, n, 2 * 10**12))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -143,6 +152,11 @@ def test_a_point_costs_its_runs_not_its_twist():
     assert (runs.verdict, runs.listings) == (VERDICT_EMPTY, ())
     assert [(r.verdict, r.listings) for r in row] == [(VERDICT_EMPTY, ())] * 10
     assert [(r.verdict, r.listings) for r in whole] == [(VERDICT_WHOLE, ())]
+    for r in [top, *top_row]:
+        assert r.verdict == VERDICT_COMPONENTS
+        assert [listing[0] for listing in r.listings] == ["beta"]
+    assert len(top_row) == 10
+    assert (whole_point.verdict, whole_point.listings) == (VERDICT_WHOLE, ())
 
 
 @pytest.mark.parametrize("window", [0, 2])
