@@ -29,9 +29,10 @@ reads rows; `bn_runs` is the one-length row, which the command line writes,
 `oracle.sweep` reads and `classify_bn` expands into `ComponentRecord`s.  A
 row works out the run table of `hn` once, cut twice: by the budget at N,
 the row's largest length that is not the whole scheme, and by the pairing
-floor N0 - 2 - threshold, N0 its shortest length (an m below it has a
-pairing above the threshold at every length).  So a point costs O(#runs),
-not O(n).  Each point reads the plain run tuples of `hn.table_runs` and
+at N0, its shortest length (an m with (m^2+q^2)*H.H/2 < N0 - 2 - threshold
+has a pairing above the threshold at every length).  Both cuts bound
+m*q*H.H from above, so the table is built up to the smaller bound, and a
+point costs O(#runs), not O(n).  Each point reads the plain run tuples of `hn.table_runs` and
 hands each kept alpha run to `hn.run_listing`.
 
 The quotient cap.  a(quotient) > -1 caps the quotient length at
@@ -156,7 +157,11 @@ def bn_row(
         raise ValueError("negative subscheme length")
     h0 = h0_line_bundle(s, n)
     c2_max = max((x for x in lengths if x <= h0), default=-1)
-    table = run_table(s, n, n - 1, c2_max, shortest - 2 - threshold)
+    # the second term is the pairing cut at the row's shortest length: an m
+    # with m*q*H.H above it has a pairing above the threshold at every length
+    table = run_table(
+        s, n, n - 1, min(c2_max, (n * n * s.h_squared) // 2 - shortest + 2 + threshold)
+    )
     return _row_runs(s, n, lengths, h0, table, threshold)
 
 

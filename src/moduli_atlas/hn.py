@@ -43,8 +43,7 @@ budget, pairing, dimension): the one place where the budget, ell1_hi, the
 pairing and the dimension are computed, and the one shape of a run.  The
 run of such a tuple holds the types (m, ell1, budget - ell1) for
 0 <= ell1 <= ell1_hi.  A table leaves out the low m whose budget is
-negative even at c2_max, and those whose (m^2 + q^2)*H.H/2 is below an
-optional floor.  `hn_runs` lists the tuples of one vector; the
+negative even at c2_max.  `hn_runs` lists the tuples of one vector; the
 Brill-Noether classifier builds one table per twist n and reads it at
 every length of a row.
 
@@ -219,25 +218,22 @@ def make_hn_type(s: Surface, v: MukaiVector, m: int, ell1: int) -> HNType:
 
 
 def run_table(
-    s: Surface, n: int, m_max: int, c2_max: int, floor: int | None = None
+    s: Surface, n: int, m_max: int, c2_max: int
 ) -> list[tuple[int, int, int, bool]]:
     """The per-m constants of every rank-2 vector of degree n and c2 <= c2_max.
 
     One row (m, m*q*H.H, (m^2 + q^2)*H.H/2, m == q) per m, with q = n - m:
     what the runs of one m share whatever c2 is (see `table_runs`).  The
-    rows run up to m_max, and down from it only as far as m*q*H.H <= c2_max
-    and, given a floor, (m^2 + q^2)*H.H/2 >= floor: for m >= n/2, the first
-    grows and the second shrinks as m falls, so no lower m would pass
-    either.  A table costs the rows it keeps, not the width of the window.
+    rows run up to m_max, and down from it only as far as m*q*H.H <= c2_max:
+    for m >= n/2, m*q*H.H grows as m falls, so no lower m would pass.  A
+    table costs the rows it keeps, not the width of the window.
     """
     h2 = s.h_squared
     half = (n * n * h2) // 2  # m*q + (m^2 + q^2)/2 = n^2/2, since m + q = n
-    # both stops bound m*q*H.H from above, as (m^2 + q^2)*H.H/2 = half - m*q*H.H
-    cross_max = c2_max if floor is None else min(c2_max, half - floor)
     rows = []
     for m in range(m_max, (n + 1) // 2 - 1, -1):
         cross = m * (n - m) * h2
-        if cross > cross_max:
+        if cross > c2_max:
             break
         rows.append((m, cross, half - cross, 2 * m == n))
     rows.reverse()

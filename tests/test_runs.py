@@ -113,17 +113,16 @@ def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
     calls = []
     honest = bn.run_table
 
-    def counting(s, n, m_max, c2_max, floor):
-        calls.append((s, n, m_max, c2_max, floor))
-        return honest(s, n, m_max, c2_max, floor)
+    def counting(s, n, m_max, c2_max):
+        calls.append((s, n, m_max, c2_max))
+        return honest(s, n, m_max, c2_max)
 
     monkeypatch.setattr(bn, "run_table", counting)
     s = Surface(2)
     rows = scan_rows(s, (0, 4), (0, 12), 1)
     assert len(rows) == 5 * 13
-    # each table reaches the row's largest length that is not the whole scheme,
-    # down to the pairing floor of its shortest length, 0 - 2 - threshold
-    assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n)), -3) for n in range(5)]
+    # each table reaches the row's largest length that is not the whole scheme
+    assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n))) for n in range(5)]
 
 
 def test_a_point_costs_its_runs_not_its_twist():
