@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -277,6 +278,18 @@ def test_verify_reports_discrepancies(capsys, monkeypatch):
     )
     assert code == 1
     assert "0 discrepancies" not in out
+    # the whole stdout, reprs included, is pinned: its head verbatim, the rest by digest
+    assert out.splitlines()[:3] == [
+        "threshold 1: 21 discrepancies",
+        "  Discrepancy(h_squared=2, n=2, length=4, threshold=1, check='bn_summary', "
+        "main=BnSummary(verdict='components', alpha_count=1, beta=True, dimensions=(6, 7)), "
+        "oracle=BnSummary(verdict='components', alpha_count=1, beta=True, dimensions=(6, 6)))",
+        "  Discrepancy(h_squared=2, n=2, length=4, threshold=1, "
+        "check='bn_dimension_identity[alpha(1, 0, 2)]', main=7, oracle=6)",
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a716c71f270dd683c3ebb3785f292731af101bd715b05913a741eaac6a17bf66"
+    )
 
 
 def test_verify_takes_h2_and_threshold_from_config(capsys, tmp_path, monkeypatch):
