@@ -52,12 +52,12 @@ The paper's closed-form component dimensions are not used here;
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .hn import ComponentRecord, expand_listings, run_listing, run_table, table_runs
 from .lattice import (
     MukaiVector,
     Surface,
+    _Record,
     euler_characteristic,
     h0_line_bundle,
 )
@@ -82,28 +82,37 @@ VERDICT_COMPONENTS = "components"
 VERDICT_EMPTY = "empty"
 
 
-@dataclass(frozen=True, slots=True)
-class BNInput:
+class BNInput(_Record):
     """Locus datum: W sits in Hilb^length(X) and twists by n*H."""
 
-    surface: Surface
-    n: int
-    length: int
+    __slots__ = ("surface", "n", "length")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, surface: Surface, n: int, length: int) -> None:
+        if n < 0:
             raise ValueError("twist degree must be nonnegative")
-        if self.length < 0:
+        if length < 0:
             raise ValueError("negative subscheme length")
+        self.surface = surface
+        self.n = n
+        self.length = length
 
 
-@dataclass(frozen=True, slots=True)
-class BNReport:
-    verdict: str
-    hilb_dimension: int
-    components: tuple[ComponentRecord, ...]
-    mukai_vector: MukaiVector
-    exceptional_case: bool
+class BNReport(_Record):
+    __slots__ = ("verdict", "hilb_dimension", "components", "mukai_vector", "exceptional_case")
+
+    def __init__(
+        self,
+        verdict: str,
+        hilb_dimension: int,
+        components: tuple[ComponentRecord, ...],
+        mukai_vector: MukaiVector,
+        exceptional_case: bool,
+    ) -> None:
+        self.verdict = verdict
+        self.hilb_dimension = hilb_dimension
+        self.components = components
+        self.mukai_vector = mukai_vector
+        self.exceptional_case = exceptional_case
 
 
 def bn_mukai_vector(inp: BNInput) -> MukaiVector:
@@ -120,20 +129,28 @@ def exceptional(s: Surface, v: MukaiVector) -> bool:
     return s.h_squared == 2 and v == _EXCEPTIONAL_VECTOR
 
 
-@dataclass(slots=True)
-class BNRuns:
+class BNRuns(_Record):
     """The classification of W, with its components as listings (see `hn`).
 
     The beta entry comes first when there is one, then one alpha listing per
-    run, already cut by the quotient cap and the threshold.  Not frozen,
-    since one is built per point of a `scan`; nothing hashes or changes it.
+    run, already cut by the quotient cap and the threshold.
     """
 
-    verdict: str
-    hilb_dimension: int
-    mukai_vector: MukaiVector
-    exceptional_case: bool
-    listings: tuple[tuple, ...]
+    __slots__ = ("verdict", "hilb_dimension", "mukai_vector", "exceptional_case", "listings")
+
+    def __init__(
+        self,
+        verdict: str,
+        hilb_dimension: int,
+        mukai_vector: MukaiVector,
+        exceptional_case: bool,
+        listings: tuple[tuple, ...],
+    ) -> None:
+        self.verdict = verdict
+        self.hilb_dimension = hilb_dimension
+        self.mukai_vector = mukai_vector
+        self.exceptional_case = exceptional_case
+        self.listings = listings
 
 
 def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:

@@ -63,11 +63,11 @@ them into the `ComponentRecord`s of the library API.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .lattice import (
     MukaiVector,
     Surface,
+    _Record,
     ideal_sheaf_vector,
     mukai_pairing,
     second_chern,
@@ -91,15 +91,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class HNType:
+class HNType(_Record):
     """Filtration type (m, ell1, ell2) of a rank-2 class, with its ambient context."""
 
-    surface: Surface
-    total: MukaiVector
-    m: int
-    ell1: int
-    ell2: int
+    __slots__ = ("surface", "total", "m", "ell1", "ell2")
+
+    def __init__(self, surface: Surface, total: MukaiVector, m: int, ell1: int, ell2: int) -> None:
+        self.surface = surface
+        self.total = total
+        self.m = m
+        self.ell1 = ell1
+        self.ell2 = ell2
 
     def sub_vector(self) -> MukaiVector:
         return ideal_sheaf_vector(self.surface, self.m, self.ell1)
@@ -114,8 +116,7 @@ class HNType:
         return (self.m, self.ell1, self.ell2)
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentRecord:
+class ComponentRecord(_Record):
     """One listed stratum or component, as both classifiers report it.
 
     `kind` is "semistable" or "hn" (torsion-free stack), "beta" or "alpha"
@@ -124,12 +125,23 @@ class ComponentRecord:
     are None.
     """
 
-    kind: str
-    triple: tuple[int, int, int] | None
-    dimension: int
-    codimension: int | None
-    absorbed: bool | None
-    threshold_sensitive: bool | None
+    __slots__ = ("kind", "triple", "dimension", "codimension", "absorbed", "threshold_sensitive")
+
+    def __init__(
+        self,
+        kind: str,
+        triple: tuple[int, int, int] | None,
+        dimension: int,
+        codimension: int | None,
+        absorbed: bool | None,
+        threshold_sensitive: bool | None,
+    ) -> None:
+        self.kind = kind
+        self.triple = triple
+        self.dimension = dimension
+        self.codimension = codimension
+        self.absorbed = absorbed
+        self.threshold_sensitive = threshold_sensitive
 
     @property
     def hn_type(self) -> tuple[int, int, int] | None:

@@ -9,15 +9,21 @@ for a K3, and which we keep once in `Surface`.  The pairing is
 
 so that <v, v> = deg(v)^2 * H.H - 2*rank(v)*a(v) is always even.
 
-Everything in this module is a pure function on immutable values and all
+Everything in this module is a pure function of its arguments and all
 arithmetic is exact: Python integers never overflow, and every halving below
 is an exact division because H.H is even.
+
+The package's records (`Surface`, `MukaiVector` and the records of the other
+modules) are plain classes with `__slots__` and an explicit `__init__` on the
+private base `_Record`, which compares, hashes and prints them by their
+fields, in `__slots__` order.  They are not frozen: nothing assigns a field
+after `__init__`, and every hash assumes that nothing does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "Surface",
@@ -32,25 +38,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Surface:
+class _Record:
+    """Equality, hash and repr by the fields a subclass names in `__slots__`.
+
+    Records are equal only to records of the same class with equal fields,
+    and print as `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # all fields at once (one field: its value), for a cheap `==`
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Surface(_Record):
     """Ambient datum: the self-intersection of the ample generator."""
 
-    h_squared: int
+    __slots__ = ("h_squared",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, h_squared: int) -> None:
         # the intersection form of a K3 is even, and H is ample
-        if self.h_squared % 2 != 0 or self.h_squared < 2:
+        if h_squared % 2 != 0 or h_squared < 2:
             raise ValueError("h2 must be even and >= 2")
+        self.h_squared = h_squared
 
 
-@dataclass(frozen=True, slots=True)
-class MukaiVector:
+class MukaiVector(_Record):
     """Lattice element (rank, deg, a); `deg` is the coefficient of H."""
 
-    rank: int
-    deg: int
-    a: int
+    __slots__ = ("rank", "deg", "a")
+
+    def __init__(self, rank: int, deg: int, a: int) -> None:
+        self.rank = rank
+        self.deg = deg
+        self.a = a
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.rank + other.rank, self.deg + other.deg, self.a + other.a)

@@ -32,13 +32,12 @@ the next surface; nothing is cached at module level or between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brill_noether import BNInput, BNRuns, bn_mukai_vector, bn_runs
 from .hn import HNType, dim_hn_closed_form, hn_runs, listing_size
 from .lattice import (
     MukaiVector,
     Surface,
+    _Record,
     divisibility,
     h0_line_bundle,
     ideal_sheaf_vector,
@@ -60,52 +59,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GridSpec:
+class GridSpec(_Record):
     """Sweep domain; ranges are inclusive.
 
     The enumeration window at a grid point with twist degree n is
     m <= n + m_margin (the natural comparison window grows with n).
     """
 
-    h_squared_values: tuple[int, ...]
-    n_range: tuple[int, int]
-    length_range: tuple[int, int]
-    m_margin: int = 4
+    __slots__ = ("h_squared_values", "n_range", "length_range", "m_margin")
 
-    def __post_init__(self) -> None:
-        if not self.h_squared_values:
+    def __init__(
+        self,
+        h_squared_values: tuple[int, ...],
+        n_range: tuple[int, int],
+        length_range: tuple[int, int],
+        m_margin: int = 4,
+    ) -> None:
+        if not h_squared_values:
             raise ValueError("empty range")
-        for i, h2 in enumerate(self.h_squared_values):
+        for i, h2 in enumerate(h_squared_values):
             Surface(h2)
-            if h2 in self.h_squared_values[:i]:
+            if h2 in h_squared_values[:i]:
                 raise ValueError(f"repeated h2 {h2}")
-        if self.n_range[0] > self.n_range[1] or self.length_range[0] > self.length_range[1]:
+        if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
             raise ValueError("empty range")
-        if self.m_margin < 0:
+        if m_margin < 0:
             raise ValueError("negative enumeration margin")
+        self.h_squared_values = h_squared_values
+        self.n_range = n_range
+        self.length_range = length_range
+        self.m_margin = m_margin
 
 
 DEFAULT_GRID = GridSpec((2, 4, 6), (0, 8), (0, 40), 4)
 
 
-@dataclass(frozen=True, slots=True)
-class BnSummary:
-    verdict: str
-    alpha_count: int
-    beta: bool
-    dimensions: tuple[int, ...]
+class BnSummary(_Record):
+    __slots__ = ("verdict", "alpha_count", "beta", "dimensions")
+
+    def __init__(
+        self, verdict: str, alpha_count: int, beta: bool, dimensions: tuple[int, ...]
+    ) -> None:
+        self.verdict = verdict
+        self.alpha_count = alpha_count
+        self.beta = beta
+        self.dimensions = dimensions
 
 
-@dataclass(frozen=True, slots=True)
-class Discrepancy:
-    h_squared: int
-    n: int
-    length: int
-    threshold: int
-    check: str
-    main: object
-    oracle: object
+class Discrepancy(_Record):
+    __slots__ = ("h_squared", "n", "length", "threshold", "check", "main", "oracle")
+
+    def __init__(
+        self,
+        h_squared: int,
+        n: int,
+        length: int,
+        threshold: int,
+        check: str,
+        main: object,
+        oracle: object,
+    ) -> None:
+        self.h_squared = h_squared
+        self.n = n
+        self.length = length
+        self.threshold = threshold
+        self.check = check
+        self.main = main
+        self.oracle = oracle
 
 
 def oracle_strata(

@@ -3,8 +3,8 @@
 A report is a head (input echo, verdict, enumeration window, threshold, tool
 version, notes; `tf_head`, `bn_head`) and the classifier's listings, which
 the writers of `writers` print run by run.  A head is a `ReportRecord`
-without components.  A full `ReportRecord` is the same report as one flat,
-immutable snapshot with a `ComponentRecord` per component; `render_text`,
+without components.  A full `ReportRecord` is the same report as one flat
+record with a `ComponentRecord` per component; `render_text`,
 `render_csv` and `render_json` run the same writers on it and collect the
 pieces into a string.  JSON output carries a schema tag and round-trips
 exactly through `parse_json(render_json(r)) == r`; all renderings are
@@ -16,11 +16,10 @@ reads them row by row from `bn_row`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 
 from .brill_noether import BNInput, BNReport, VERDICT_WHOLE, bn_row
 from .hn import ComponentRecord, listing_size
-from .lattice import MukaiVector, Surface
+from .lattice import MukaiVector, Surface, _Record
 from .version import VERSION
 
 # the scan tables share the JSON and CSV cell helpers of the report writers
@@ -65,20 +64,39 @@ NOTE_SEMISTABLE_EMPTY = "semistable stack empty"
 NOTE_EXCEPTIONAL = "exceptional case: no semistable component"
 
 
-@dataclass(frozen=True, slots=True)
-class ReportRecord:
-    kind: str  # torsion-free | brill-noether
-    h_squared: int
-    vector: tuple[int, int, int]
-    n: int | None
-    length: int | None
-    verdict: str | None
-    hilb_dimension: int | None
-    window: int | None
-    threshold: int
-    tool_version: str
-    notes: tuple[str, ...]
-    components: tuple[ComponentRecord, ...]
+class ReportRecord(_Record):
+    __slots__ = (
+        "kind", "h_squared", "vector", "n", "length", "verdict", "hilb_dimension", "window",
+        "threshold", "tool_version", "notes", "components",
+    )
+
+    def __init__(
+        self,
+        kind: str,  # torsion-free | brill-noether
+        h_squared: int,
+        vector: tuple[int, int, int],
+        n: int | None,
+        length: int | None,
+        verdict: str | None,
+        hilb_dimension: int | None,
+        window: int | None,
+        threshold: int,
+        tool_version: str,
+        notes: tuple[str, ...],
+        components: tuple[ComponentRecord, ...],
+    ) -> None:
+        self.kind = kind
+        self.h_squared = h_squared
+        self.vector = vector
+        self.n = n
+        self.length = length
+        self.verdict = verdict
+        self.hilb_dimension = hilb_dimension
+        self.window = window
+        self.threshold = threshold
+        self.tool_version = tool_version
+        self.notes = notes
+        self.components = components
 
 
 def tf_head(s: Surface, v: MukaiVector, listings, m_max: int, threshold: int) -> ReportRecord:
@@ -110,14 +128,19 @@ def tf_record(
 ) -> ReportRecord:
     """Record for a torsion-free classification; absorbed strata are hidden
     unless `include_absorbed` (they are not irreducible components)."""
-    return replace(
+    return _full(
         tf_head(s, v, _record_listings(components[:1]), m_max, threshold),
-        components=tuple(c for c in components if include_absorbed or not c.absorbed),
+        tuple(c for c in components if include_absorbed or not c.absorbed),
     )
 
 
 def bn_record(inp: BNInput, rep: BNReport, threshold: int) -> ReportRecord:
-    return replace(bn_head(inp, rep, threshold), components=rep.components)
+    return _full(bn_head(inp, rep, threshold), rep.components)
+
+
+def _full(head: ReportRecord, components: tuple[ComponentRecord, ...]) -> ReportRecord:
+    """The full record: `head`'s fields, with `components` as its last."""
+    return ReportRecord(*head._values(head)[:-1], components)
 
 
 def _record_listings(components) -> list[tuple]:
@@ -183,19 +206,35 @@ def parse_json(text: str) -> ReportRecord:
     )
 
 
-@dataclass(slots=True)
-class ScanRow:
-    """One `scan` row; not frozen, since one is built per point."""
+class ScanRow(_Record):
+    """One `scan` row."""
 
-    h_squared: int
-    n: int
-    length: int
-    verdict: str
-    alpha_count: int
-    beta: bool
-    min_dim: int | None
-    max_dim: int | None
-    threshold: int
+    __slots__ = (
+        "h_squared", "n", "length", "verdict", "alpha_count", "beta", "min_dim", "max_dim",
+        "threshold",
+    )
+
+    def __init__(
+        self,
+        h_squared: int,
+        n: int,
+        length: int,
+        verdict: str,
+        alpha_count: int,
+        beta: bool,
+        min_dim: int | None,
+        max_dim: int | None,
+        threshold: int,
+    ) -> None:
+        self.h_squared = h_squared
+        self.n = n
+        self.length = length
+        self.verdict = verdict
+        self.alpha_count = alpha_count
+        self.beta = beta
+        self.min_dim = min_dim
+        self.max_dim = max_dim
+        self.threshold = threshold
 
 
 def scan_rows(

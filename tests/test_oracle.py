@@ -1,11 +1,9 @@
-import dataclasses
-
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_atlas.brill_noether import BNInput, bn_runs, classify_bn
+from moduli_atlas.brill_noether import BNInput, BNRuns, bn_runs, classify_bn
 from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types, table_runs
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
@@ -132,7 +130,8 @@ def test_sweep_and_scan_see_a_seeded_listing_fault(monkeypatch):
                 (kind, dimension + 1 if kind == "alpha" else dimension, *rest)
                 for kind, dimension, *rest in runs.listings
             )
-            yield dataclasses.replace(runs, listings=listings)
+            yield BNRuns(runs.verdict, runs.hilb_dimension, runs.mukai_vector,
+                         runs.exceptional_case, listings)
 
     monkeypatch.setattr(bn, "_row_runs", off_by_one)
     for threshold in (1, -1):
@@ -238,7 +237,9 @@ def test_sweep_memo_hides_no_seeded_lattice_fault(monkeypatch):
     def shifted_vector(entry):
         def build(s, deg, length):
             w = honest_vector(s, deg, length)
-            return dataclasses.replace(w, **{entry: getattr(w, entry) + 1}) if length == 3 else w
+            fields = {"rank": w.rank, "deg": w.deg, "a": w.a}
+            fields[entry] += 1
+            return MukaiVector(**fields) if length == 3 else w
 
         return build
 

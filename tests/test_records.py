@@ -5,6 +5,11 @@ and to nothing else, and the ones built as lookup keys hash by their fields.
 `verify` prints `Discrepancy` reprs, so that spelling is pinned as a literal.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns
@@ -43,10 +48,10 @@ CASES = [
     (ScanRow, {"h_squared": 2, "n": 2, "length": 4, "verdict": "components", "alpha_count": 1,
                "beta": True, "min_dim": 6, "max_dim": 7, "threshold": 1}),
 ]
-RECORD_CLASSES = tuple(cls for cls, _ in CASES)
-# built once per point and never used as keys; unhashable while they were dataclasses
-UNHASHED = (BNRuns, ScanRow)
-IDS = [cls.__name__ for cls in RECORD_CLASSES]
+IDS = [cls.__name__ for cls, _ in CASES]
+# BNRuns and ScanRow are built once per point and never used as keys: their
+# hashes are not pinned
+HASHED = [case for case in CASES if case[0] not in (BNRuns, ScanRow)]
 
 
 def _other(value):
@@ -93,10 +98,7 @@ def test_records_equal_only_records_of_their_class(cls, fields):
             assert not record == other_cls(**other_fields)
 
 
-@pytest.mark.parametrize(
-    "cls, fields", [case for case in CASES if case[0] not in UNHASHED],
-    ids=[name for name in IDS if name not in ("BNRuns", "ScanRow")],
-)
+@pytest.mark.parametrize("cls, fields", HASHED, ids=[cls.__name__ for cls, _ in HASHED])
 def test_equal_records_hash_equal(cls, fields):
     assert hash(cls(**fields)) == hash(cls(*fields.values()))
     assert len({cls(**fields), cls(*fields.values())}) == 1
@@ -145,3 +147,15 @@ def test_checks_keep_their_messages_and_precedence(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_cli_cold_import_leaves_out_dataclasses_and_inspect():
+    # the records are plain classes, so a one-shot command pays for neither module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, moduli_atlas.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from importlib import resources
 
@@ -208,6 +207,16 @@ def _canonical(text):
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def _astuple(x):
+    """`x` with each record in it, nested ones too, unpacked into the tuple
+    of its fields in order."""
+    if isinstance(x, (ReportRecord, ComponentRecord, ScanRow)):
+        return tuple(_astuple(getattr(x, name)) for name in type(x).__slots__)
+    if isinstance(x, (tuple, list)):
+        return type(x)(_astuple(y) for y in x)
+    return x
+
+
 def _typed(x):
     """`x` with the type of every leaf next to its value: 1 == True, but
     (int, 1) != (bool, True), so a count written as `true` is caught."""
@@ -220,7 +229,7 @@ def _assert_report_pinned(rec):
     text = render_json(rec)
     assert text == _canonical(text)
     assert parse_json(text) == rec
-    assert _typed(dataclasses.astuple(parse_json(text))) == _typed(dataclasses.astuple(rec))
+    assert _typed(_astuple(parse_json(text))) == _typed(_astuple(rec))
 
 
 def _assert_scan_pinned(rows):
@@ -230,7 +239,7 @@ def _assert_scan_pinned(rows):
     assert doc["schema"] == SCHEMA_SCAN
     keys = SCAN_COLUMNS.split(",")  # the ScanRow field order
     assert _typed([[row[k] for k in keys] for row in doc["rows"]]) == _typed(
-        [dataclasses.astuple(r) for r in rows]
+        [_astuple(r) for r in rows]
     )
 
 
@@ -287,7 +296,7 @@ def test_render_scan_json_matches_canonical_dump(rows):
 @given(scan_row_lists)
 def test_render_scan_csv_matches_cell_join(rows):
     # the spelling the renderer replaced: every field of the row through `_cell`
-    lines = [SCAN_COLUMNS] + [",".join(_cell(x) for x in dataclasses.astuple(r)) for r in rows]
+    lines = [SCAN_COLUMNS] + [",".join(_cell(x) for x in _astuple(r)) for r in rows]
     assert render_scan_csv(rows) == "\n".join(lines) + "\n"
 
 
