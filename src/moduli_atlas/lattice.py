@@ -11,13 +11,8 @@ so that <v, v> = deg(v)^2 * H.H - 2*rank(v)*a(v) is always even.
 
 Everything in this module is a pure function of its arguments and all
 arithmetic is exact: Python integers never overflow, and every halving below
-is an exact division because H.H is even.
-
-The package's records (`Surface`, `MukaiVector` and the records of the other
-modules) are plain classes with `__slots__` and an explicit `__init__` on the
-private base `_Record`, which compares, hashes and prints them by their
-fields, in `__slots__` order.  They are not frozen: nothing assigns a field
-after `__init__`, and every hash assumes that nothing does.
+is an exact division because H.H is even.  `Surface`, `MukaiVector` and
+the records of the other modules are plain slotted classes on `_Record`.
 """
 
 from __future__ import annotations
@@ -41,8 +36,10 @@ __all__ = [
 class _Record:
     """Equality, hash and repr by the fields a subclass names in `__slots__`.
 
-    Records are equal only to records of the same class with equal fields,
-    and print as `Name(field=value, ...)`.
+    A record equals only a record of its own class with equal fields, and
+    prints as `Name(field=value, ...)`.  Records are not frozen: nothing in
+    the package assigns a field after `__init__`, and the hash assumes that
+    nothing does.
     """
 
     __slots__ = ()
