@@ -6,6 +6,7 @@ and to nothing else, and the ones built as lookup keys hash by their fields.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,25 @@ def test_records_equal_only_records_of_their_class(cls, fields):
         if other_cls is not cls:
             assert record != other_cls(**other_fields)
             assert not record == other_cls(**other_fields)
+
+
+@pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
+def test_construction_takes_exactly_the_fields(cls, fields):
+    values = list(fields.values())
+    required = len(values) - len(cls.__init__.__defaults__ or ())
+    with pytest.raises(TypeError):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=0)
+
+
+@pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
+def test_records_survive_pickling(cls, fields):
+    # a process pool sends records, `Discrepancy` among them, between processes
+    record = cls(**fields)
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize("cls, fields", HASHED, ids=[cls.__name__ for cls, _ in HASHED])
