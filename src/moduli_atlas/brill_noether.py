@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .hn import ComponentRecord, expand_listings, run_listing, run_table, table_runs
+from .hn import expand_listings, run_listing, run_table, table_runs
 from .lattice import (
     MukaiVector,
     Surface,
@@ -100,20 +100,6 @@ class BNInput(_Record):
 class BNReport(_Record):
     __slots__ = ("verdict", "hilb_dimension", "components", "mukai_vector", "exceptional_case")
 
-    def __init__(
-        self,
-        verdict: str,
-        hilb_dimension: int,
-        components: tuple[ComponentRecord, ...],
-        mukai_vector: MukaiVector,
-        exceptional_case: bool,
-    ) -> None:
-        self.verdict = verdict
-        self.hilb_dimension = hilb_dimension
-        self.components = components
-        self.mukai_vector = mukai_vector
-        self.exceptional_case = exceptional_case
-
 
 def bn_mukai_vector(inp: BNInput) -> MukaiVector:
     """The extension vector (2, n, n^2*H.H/2 - length + 2); its c2 is `length`."""
@@ -137,20 +123,6 @@ class BNRuns(_Record):
     """
 
     __slots__ = ("verdict", "hilb_dimension", "mukai_vector", "exceptional_case", "listings")
-
-    def __init__(
-        self,
-        verdict: str,
-        hilb_dimension: int,
-        mukai_vector: MukaiVector,
-        exceptional_case: bool,
-        listings: tuple[tuple, ...],
-    ) -> None:
-        self.verdict = verdict
-        self.hilb_dimension = hilb_dimension
-        self.mukai_vector = mukai_vector
-        self.exceptional_case = exceptional_case
-        self.listings = listings
 
 
 def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:

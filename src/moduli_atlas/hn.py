@@ -96,13 +96,6 @@ class HNType(_Record):
 
     __slots__ = ("surface", "total", "m", "ell1", "ell2")
 
-    def __init__(self, surface: Surface, total: MukaiVector, m: int, ell1: int, ell2: int) -> None:
-        self.surface = surface
-        self.total = total
-        self.m = m
-        self.ell1 = ell1
-        self.ell2 = ell2
-
     def sub_vector(self) -> MukaiVector:
         return ideal_sheaf_vector(self.surface, self.m, self.ell1)
 
@@ -126,22 +119,6 @@ class ComponentRecord(_Record):
     """
 
     __slots__ = ("kind", "triple", "dimension", "codimension", "absorbed", "threshold_sensitive")
-
-    def __init__(
-        self,
-        kind: str,
-        triple: tuple[int, int, int] | None,
-        dimension: int,
-        codimension: int | None,
-        absorbed: bool | None,
-        threshold_sensitive: bool | None,
-    ) -> None:
-        self.kind = kind
-        self.triple = triple
-        self.dimension = dimension
-        self.codimension = codimension
-        self.absorbed = absorbed
-        self.threshold_sensitive = threshold_sensitive
 
     @property
     def hn_type(self) -> tuple[int, int, int] | None:

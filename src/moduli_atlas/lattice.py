@@ -12,7 +12,10 @@ so that <v, v> = deg(v)^2 * H.H - 2*rank(v)*a(v) is always even.
 Everything in this module is a pure function of its arguments and all
 arithmetic is exact: Python integers never overflow, and every halving below
 is an exact division because H.H is even.  `Surface`, `MukaiVector` and
-the records of the other modules are plain slotted classes on `_Record`.
+the records of the other modules are plain slotted classes on `_Record`,
+which gives each record that does not define `__init__` one that assigns its
+`__slots__` in order; the records that check their arguments (`Surface`,
+`brill_noether.BNInput`, `oracle.GridSpec`) write their own.
 """
 
 from __future__ import annotations
@@ -34,9 +37,13 @@ __all__ = [
 
 
 class _Record:
-    """Equality, hash and repr by the fields a subclass names in `__slots__`.
+    """Construction, equality, hash and repr by the fields a subclass names
+    in `__slots__`.
 
-    A record equals only a record of its own class with equal fields, and
+    A subclass declares its fields once, in `__slots__`.  Unless it defines
+    `__init__` itself, it gets `__init__(self, <fields in order>)` that only
+    assigns them; a record that checks its arguments writes its own.  A
+    record equals only a record of its own class with equal fields, and
     prints as `Name(field=value, ...)`.  Records are not frozen: nothing in
     the package assigns a field after `__init__`, and the hash assumes that
     nothing does.
@@ -46,8 +53,18 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
         # all fields at once (one field: its value), for a cheap `==`
-        cls._values = attrgetter(*cls.__slots__)
+        cls._values = attrgetter(*fields)
+        if "__init__" not in cls.__dict__:
+            # compiled once per class, as `dataclasses` and `namedtuple` do
+            body = "".join(f"\n    self.{name} = {name}" for name in fields)
+            namespace = {}
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__module__ = cls.__module__
+            cls.__init__ = init
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -79,11 +96,6 @@ class MukaiVector(_Record):
     """Lattice element (rank, deg, a); `deg` is the coefficient of H."""
 
     __slots__ = ("rank", "deg", "a")
-
-    def __init__(self, rank: int, deg: int, a: int) -> None:
-        self.rank = rank
-        self.deg = deg
-        self.a = a
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.rank + other.rank, self.deg + other.deg, self.a + other.a)

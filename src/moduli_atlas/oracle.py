@@ -97,35 +97,9 @@ DEFAULT_GRID = GridSpec((2, 4, 6), (0, 8), (0, 40), 4)
 class BnSummary(_Record):
     __slots__ = ("verdict", "alpha_count", "beta", "dimensions")
 
-    def __init__(
-        self, verdict: str, alpha_count: int, beta: bool, dimensions: tuple[int, ...]
-    ) -> None:
-        self.verdict = verdict
-        self.alpha_count = alpha_count
-        self.beta = beta
-        self.dimensions = dimensions
-
 
 class Discrepancy(_Record):
     __slots__ = ("h_squared", "n", "length", "threshold", "check", "main", "oracle")
-
-    def __init__(
-        self,
-        h_squared: int,
-        n: int,
-        length: int,
-        threshold: int,
-        check: str,
-        main: object,
-        oracle: object,
-    ) -> None:
-        self.h_squared = h_squared
-        self.n = n
-        self.length = length
-        self.threshold = threshold
-        self.check = check
-        self.main = main
-        self.oracle = oracle
 
 
 def oracle_strata(

@@ -65,38 +65,12 @@ NOTE_EXCEPTIONAL = "exceptional case: no semistable component"
 
 
 class ReportRecord(_Record):
+    """The head of one report; `kind` is "torsion-free" or "brill-noether"."""
+
     __slots__ = (
         "kind", "h_squared", "vector", "n", "length", "verdict", "hilb_dimension", "window",
         "threshold", "tool_version", "notes", "components",
     )
-
-    def __init__(
-        self,
-        kind: str,  # torsion-free | brill-noether
-        h_squared: int,
-        vector: tuple[int, int, int],
-        n: int | None,
-        length: int | None,
-        verdict: str | None,
-        hilb_dimension: int | None,
-        window: int | None,
-        threshold: int,
-        tool_version: str,
-        notes: tuple[str, ...],
-        components: tuple[ComponentRecord, ...],
-    ) -> None:
-        self.kind = kind
-        self.h_squared = h_squared
-        self.vector = vector
-        self.n = n
-        self.length = length
-        self.verdict = verdict
-        self.hilb_dimension = hilb_dimension
-        self.window = window
-        self.threshold = threshold
-        self.tool_version = tool_version
-        self.notes = notes
-        self.components = components
 
 
 def tf_head(s: Surface, v: MukaiVector, listings, m_max: int, threshold: int) -> ReportRecord:
@@ -213,28 +187,6 @@ class ScanRow(_Record):
         "h_squared", "n", "length", "verdict", "alpha_count", "beta", "min_dim", "max_dim",
         "threshold",
     )
-
-    def __init__(
-        self,
-        h_squared: int,
-        n: int,
-        length: int,
-        verdict: str,
-        alpha_count: int,
-        beta: bool,
-        min_dim: int | None,
-        max_dim: int | None,
-        threshold: int,
-    ) -> None:
-        self.h_squared = h_squared
-        self.n = n
-        self.length = length
-        self.verdict = verdict
-        self.alpha_count = alpha_count
-        self.beta = beta
-        self.min_dim = min_dim
-        self.max_dim = max_dim
-        self.threshold = threshold
 
 
 def scan_rows(

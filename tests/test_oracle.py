@@ -95,7 +95,7 @@ def test_dimension_identities_empty_without_components():
 
 
 def test_sweep_small_grid_clean():
-    assert sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1) == []
+    assert sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1, 0) == []
 
 
 def test_sweep_degenerate_grid_clean():

@@ -15,7 +15,7 @@ import pytest
 
 from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns
 from moduli_atlas.hn import ComponentRecord, HNType
-from moduli_atlas.lattice import MukaiVector, Surface
+from moduli_atlas.lattice import MukaiVector, Surface, _Record
 from moduli_atlas.oracle import BnSummary, Discrepancy, GridSpec
 from moduli_atlas.report import ReportRecord, ScanRow
 
@@ -50,6 +50,8 @@ CASES = [
                "beta": True, "min_dim": 6, "max_dim": 7, "threshold": 1}),
 ]
 IDS = [cls.__name__ for cls, _ in CASES]
+# the records that check their arguments define `__init__`; the rest get `_Record`'s
+CHECKED = [Surface, BNInput, GridSpec]
 # BNRuns and ScanRow are built once per point and never used as keys: their
 # hashes are not pinned
 HASHED = [case for case in CASES if case[0] not in (BNRuns, ScanRow)]
@@ -116,6 +118,42 @@ def test_records_survive_pickling(cls, fields):
     # a process pool sends records, `Discrepancy` among them, between processes
     record = cls(**fields)
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+class OneField(_Record):
+    __slots__ = ("x",)
+
+
+class ThreeFields(_Record):
+    __slots__ = ("c", "a", "b")
+
+
+GENERATED = [OneField, ThreeFields] + [cls for cls, _ in CASES if cls not in CHECKED]
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=[cls.__name__ for cls in GENERATED])
+def test_base_generates_an_init_taking_the_slots_in_order(cls):
+    init = cls.__dict__["__init__"]
+    code = init.__code__
+    assert code.co_varnames[:code.co_argcount] == ("self", *cls.__slots__)
+    assert code.co_kwonlyargcount == 0 and init.__defaults__ is None
+    assert init.__qualname__ == f"{cls.__name__}.__init__"
+    assert init.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("cls", [OneField, ThreeFields], ids=["one", "three"])
+def test_generated_init_assigns_by_position_and_by_keyword(cls):
+    assert cls.__init__.__module__ == __name__
+    values = tuple(range(10, 10 + len(cls.__slots__)))
+    by_position = cls(*values)
+    assert by_position == cls(**dict(zip(cls.__slots__, values)))
+    assert [getattr(by_position, name) for name in cls.__slots__] == list(values)
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=[cls.__name__ for cls in CHECKED])
+def test_records_that_check_their_arguments_keep_their_own_init(cls):
+    assert cls.__init__ is cls.__dict__["__init__"]
+    assert cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
 
 
 @pytest.mark.parametrize("cls, fields", HASHED, ids=[cls.__name__ for cls, _ in HASHED])
