@@ -13,11 +13,14 @@ one classification of a point, which the command line prints too.
 every disagreement.  At each point it runs the threshold-independent checks
 once and shares them across the thresholds: the filtration types and the
 per-type dimensions the classifiers report (expanded `hn_runs`) against
-`oracle_strata`, and each run's dimension against the closed form.  The
-locus classification against `oracle_bn` and the component dimension
-identities are checked per threshold, on one `bn_runs` per threshold.
-Grid points are independent of each other and records come back in grid
-order.
+`oracle_strata`, and each run's dimension against the closed form.  It
+also runs `oracle_bn`'s brute-force scan once per point: the whole-scheme
+test, the beta dimension, and the pairing and dimension of every alpha
+type that meets the conditions other than the threshold.  The locus
+classification (that scan summarised at the threshold) and the component
+dimension identities are checked per threshold, on one `bn_runs` per
+threshold.  Grid points are independent of each other and records come
+back in grid order.
 
 Within one `sweep` call, each ideal-sheaf piece I_Z(deg*H) that the scan
 tries is built once per surface, together with its self-pairing, and reused
@@ -126,16 +129,14 @@ def oracle_strata(
         if m < quot_deg:
             continue
         budget = c2 - m * quot_deg * h2
+        if budget < 0:
+            continue
         subs = _pieces(s, m, budget, pieces)
         quots = _pieces(s, quot_deg, budget, pieces)
-        for ell1 in range(max(budget, -1) + 1):
+        for ell1, (v1, p11), (v2, p22) in zip(range(budget + 1), subs, quots[budget::-1]):
             ell2 = budget - ell1
-            if ell2 < 0:
-                continue
             if m == quot_deg and not ell1 < ell2:
                 continue
-            v1, p11 = subs[ell1]
-            v2, p22 = quots[ell2]
             if v1.rank + v2.rank != rank or v1.deg + v2.deg != n or v1.a + v2.a != a:
                 continue
             found.append((m, ell1, ell2, p11 + p22 + mukai_pairing(s, v1, v2) + 2))
@@ -161,14 +162,34 @@ def oracle_enumerate(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, 
 
 
 def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
-    """Re-derive the locus classification straight from the defining conditions."""
+    """Re-derive the locus classification straight from the defining conditions.
+
+    The summary at `threshold` of the point's one threshold-free scan
+    (`_bn_scan`); `sweep` runs that scan once and summarises it at each of
+    its thresholds.
+    """
+    return _scan_summary(_bn_scan(s, n, length), threshold)
+
+
+def _bn_scan(
+    s: Surface, n: int, length: int
+) -> tuple[int | None, list[tuple[int, int]]] | None:
+    """Everything `oracle_bn` finds at one point that does not depend on the threshold.
+
+    None when `length` exceeds h0(O(nH)) (the whole Hilbert scheme).  Else
+    the beta component's dimension (None without one) and the
+    (pairing, dimension) of every alpha type (m, ell1, ell2) that meets all
+    the other conditions, in scan order.  Per m, h0(O(qH)) is computed
+    once and the quotient cap h0(qH) > ell2 is tested before the two
+    pieces are built; each candidate within it is re-checked entry by entry
+    against v and paired afresh.
+    """
     h2 = s.h_squared
-    v = MukaiVector(2, n, (n * n * h2) // 2 - length + 2)
     if length > h0_line_bundle(s, n):
-        return BnSummary("whole_hilbert_scheme", 0, False, ())
+        return None
+    v = MukaiVector(2, n, (n * n * h2) // 2 - length + 2)
     chi = 2 + v.a
-    dims: list[int] = []
-    beta = False
+    beta_dim = None
     v0 = primitive_part(v)
     norm0 = mukai_pairing(s, v0, v0)
     if n >= 1 and norm0 >= -2 and not (h2 == 2 and v == MukaiVector(2, 3, 5)):
@@ -180,36 +201,47 @@ def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
             mss_dim = norm + 1
         else:
             mss_dim = d
-        beta = True
-        dims.append(mss_dim + chi)
-    alpha_count = 0
+        beta_dim = mss_dim + chi
+    alphas: list[tuple[int, int]] = []
+    # a guard that cannot fire: length <= h0(O(nH)) gives chi >= 2
+    if chi <= 0:
+        return beta_dim, alphas
     for m in range(1, n):
         if 2 * m < n:
             continue
         quot_deg = n - m
+        quot_h0 = h0_line_bundle(s, quot_deg)
         for ell2 in range(length + 1):
             ell1 = length - m * quot_deg * h2 - ell2
             if ell1 < 0:
                 continue
             if 2 * m == n and ell2 <= ell1:
                 continue
+            if quot_h0 <= ell2:
+                continue
             v1 = MukaiVector(1, m, (m * m * h2) // 2 - ell1 + 1)
             v2 = MukaiVector(1, quot_deg, (quot_deg * quot_deg * h2) // 2 - ell2 + 1)
             if v1.rank + v2.rank != v.rank or v1.deg + v2.deg != n or v1.a + v2.a != v.a:
                 continue
-            if h0_line_bundle(s, quot_deg) <= ell2:
-                continue
-            if chi <= 0:
-                continue
             p12 = mukai_pairing(s, v1, v2)
-            if p12 > threshold:
-                continue
-            alpha_count += 1
-            dims.append(
-                mukai_pairing(s, v1, v1) + mukai_pairing(s, v2, v2) + p12 + 2 + chi
-            )
+            dim = mukai_pairing(s, v1, v1) + mukai_pairing(s, v2, v2) + p12 + 2 + chi
+            alphas.append((p12, dim))
+    return beta_dim, alphas
+
+
+def _scan_summary(
+    scan: tuple[int | None, list[tuple[int, int]]] | None, threshold: int
+) -> BnSummary:
+    """The `BnSummary` of one `_bn_scan` at `threshold`: alphas paired within it, and beta."""
+    if scan is None:
+        return BnSummary("whole_hilbert_scheme", 0, False, ())
+    beta_dim, alphas = scan
+    dims = [dim for pairing, dim in alphas if pairing <= threshold]
+    alpha_count = len(dims)
+    if beta_dim is not None:
+        dims.append(beta_dim)
     verdict = "components" if dims else "empty"
-    return BnSummary(verdict, alpha_count, beta, tuple(sorted(dims)))
+    return BnSummary(verdict, alpha_count, beta_dim is not None, tuple(sorted(dims)))
 
 
 def bn_component_dimension_identities(
@@ -282,10 +314,11 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     """Compare main classifiers against the oracles over the whole grid.
 
     Shared by all thresholds, and computed once per point: the expanded
-    hn_runs against oracle_strata (`enumeration`, `stratum_dimension`) and
-    each run's dimension against the closed form (`dim_formula`).  Per
-    threshold: the locus classification against oracle_bn (`bn_summary`) and
-    the closed-form component dimension identities
+    hn_runs against oracle_strata (`enumeration`, `stratum_dimension`), each
+    run's dimension against the closed form (`dim_formula`), and oracle_bn's
+    threshold-free scan.  Per threshold: the locus classification against
+    that scan's summary at the threshold, which is what oracle_bn returns
+    (`bn_summary`), and the closed-form component dimension identities
     (`bn_dimension_identity`).  A shared mismatch is recorded under every
     threshold.  Records come back threshold by threshold, in the order given,
     each in grid order, so the result equals the concatenation of one sweep
@@ -309,10 +342,11 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
             for length in range(len_lo, len_hi + 1):
                 inp = BNInput(s, n, length)
                 shared = _type_checks(s, bn_mukai_vector(inp), m_max, pieces)
+                scan = _bn_scan(s, n, length)
                 for threshold, records in zip(thresholds, per_threshold):
                     runs = bn_runs(inp, threshold)
                     main = _main_summary(runs)
-                    ora = oracle_bn(s, n, length, threshold)
+                    ora = _scan_summary(scan, threshold)
                     if main != ora:
                         records.append(
                             Discrepancy(h2, n, length, threshold, "bn_summary", main, ora)

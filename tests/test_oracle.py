@@ -219,6 +219,26 @@ def test_sweep_runs_the_oracle_once_per_point(monkeypatch):
     assert calls == first
 
 
+def test_sweep_runs_the_bn_oracle_scan_once_per_point(monkeypatch):
+    import moduli_atlas.oracle as oracle
+
+    calls = []
+    honest = oracle._bn_scan
+
+    def counting(s, n, length):
+        calls.append((s, n, length))
+        return honest(s, n, length)
+
+    monkeypatch.setattr(oracle, "_bn_scan", counting)
+    grid = GridSpec((2, 4), (0, 4), (0, 12))
+    assert sweep(grid, 1, 0, -1) == []
+    first = list(calls)
+    assert len(first) == len(set(first)) == 2 * 5 * 13
+    calls.clear()
+    assert sweep(grid, 1, 0, -1) == []
+    assert calls == first
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.lists(windowed_contexts(), min_size=1, max_size=6))
 def test_shared_piece_memo_changes_no_result(contexts):
@@ -328,6 +348,32 @@ def test_sweep_thresholds_concatenate_single_sweeps(monkeypatch):
     assert both == sweep(grid, 1) + sweep(grid, -1)
 
 
+def test_shared_bn_scan_leaks_nothing_between_thresholds(monkeypatch):
+    # an oracle-side fault: cross pairings with a degree-2 piece read one too high
+    import moduli_atlas.oracle as oracle
+
+    honest = oracle.mukai_pairing
+
+    def shifted_cross_pairing(s, v, w):
+        return honest(s, v, w) + (v != w and v.deg == 2)
+
+    monkeypatch.setattr(oracle, "mukai_pairing", shifted_cross_pairing)
+    grid = GridSpec((2, 4), (0, 4), (0, 12))
+    records = sweep(grid, 1, 0, -1)
+    assert records == sweep(grid, 1) + sweep(grid, 0) + sweep(grid, -1)
+    assert sweep(grid, -1, 1) == sweep(grid, -1) + sweep(grid, 1)
+    summaries = {
+        t: {(r.h_squared, r.n, r.length): r.oracle for r in records
+            if r.check == "bn_summary" and r.threshold == t}
+        for t in (1, 0, -1)
+    }
+    assert [len(summaries[t]) for t in (1, 0, -1)] == [13, 11, 8]
+    assert summaries[1] != summaries[0] != summaries[-1] != summaries[1]
+    for t, points in summaries.items():
+        for (h2, n, length), summary in points.items():
+            assert summary == oracle_bn(Surface(h2), n, length, t)
+
+
 def test_sweep_needs_a_threshold():
     with pytest.raises(ValueError, match="no threshold"):
         sweep(GridSpec((2,), (0, 0), (0, 1)))
@@ -358,7 +404,7 @@ def test_oracle_bn_matches_main(ctx):
     s, v, _ = ctx
     n = v.deg
     length = (n * n * s.h_squared) // 2 + 2 - v.a
-    for threshold in (1, -1):
+    for threshold in (2, 1, 0, -1):
         summary = oracle_bn(s, n, length, threshold)
         rep = classify_bn(BNInput(s, n, length), threshold)
         assert summary.verdict == rep.verdict
