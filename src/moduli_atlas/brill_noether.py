@@ -135,22 +135,17 @@ def bn_row(
 ) -> Iterator[BNRuns]:
     """Classify W at twist n and each length of `lengths` (a sequence), in order.
 
-    n and the lengths are checked here, before any point is classified, with
-    the messages and the precedence of `BNInput`; h^0(O(n*H)) and the run
+    The inputs are checked, before any point is classified, as the `BNInput`
+    of the row's shortest length (0 for no lengths); h^0(O(n*H)) and the run
     table (see the module docstring) are worked out once for the whole row.
     """
-    if n < 0:
-        raise ValueError("twist degree must be nonnegative")
-    shortest = min(lengths) if lengths else 0
-    if shortest < 0:
-        raise ValueError("negative subscheme length")
+    shortest = BNInput(s, n, min(lengths, default=0)).length
     h0 = h0_line_bundle(s, n)
     c2_max = max((x for x in lengths if x <= h0), default=-1)
     # the second term is the pairing cut at the row's shortest length: an m
-    # with m*q*H.H above it has a pairing above the threshold at every length
-    table = run_table(
-        s, n, n - 1, min(c2_max, (n * n * s.h_squared) // 2 - shortest + 2 + threshold)
-    )
+    # with m*q*H.H above it has a pairing above the threshold at every length.
+    # h0 = n^2*H.H/2 + 2 for n >= 1; at n = 0 the table (m <= -1) is empty.
+    table = run_table(s, n, n - 1, min(c2_max, h0 - shortest + threshold))
     return _row_runs(s, n, lengths, h0, table, threshold)
 
 

@@ -10,27 +10,25 @@ dimensions and pairs them with the listings of `bn_runs`, the main side's
 one classification of a point, which the command line prints too.
 
 `sweep` runs both sides over a grid at one or more thresholds and returns
-every disagreement.  At each point it runs the threshold-independent checks
-once and shares them across the thresholds: the filtration types and the
-per-type dimensions the classifiers report (expanded `hn_runs`) against
-`oracle_strata`, and each run's dimension against the closed form.  It
-also runs `oracle_bn`'s brute-force scan once per point: the whole-scheme
-test, the beta dimension, and the pairing and dimension of every alpha
-type that meets the conditions other than the threshold.  The locus
-classification (that scan summarised at the threshold) and the component
-dimension identities are checked per threshold, on one `bn_runs` per
-threshold.  Grid points are independent of each other and records come
-back in grid order.
+every disagreement.  Everything that does not depend on the threshold is
+worked out once per point and shared by all thresholds: the filtration
+types and per-type dimensions that the classifiers report (expanded
+`hn_runs`) against `oracle_strata`, each run's dimension against the closed
+form, and `oracle_bn`'s brute-force scan (the whole-scheme test, the beta
+dimension, and the pairing and dimension of every alpha type that meets the
+conditions other than the threshold).  Only `bn_runs`, that scan's summary
+and the component dimension identities are per threshold.
 
-Within one `sweep` call, each ideal-sheaf piece I_Z(deg*H) that the scan
-tries is built once per surface, together with its self-pairing, and reused
-at every point on that surface.  This is safe because a piece is a pure
-function of (H.H, deg, length), and the memo files it under exactly that,
-and because every candidate is still checked in full: both pieces are looked
-up, their rank, deg and a are summed and compared with those of v, entry by
-entry and without building a vector, and the cross pairing <v1,v2> is
-computed afresh.  The memo is a local of `sweep`, dropped when it moves to
-the next surface; nothing is cached at module level or between calls.
+Within one `sweep` call, each ideal-sheaf piece I_Z(deg*H) that
+`oracle_strata` tries is built once per surface, together with its
+self-pairing, and reused at every point on that surface.  This is safe
+because a piece is a pure function of (H.H, deg, length), and the memo files
+it under exactly that, and because every candidate is still checked in full:
+both pieces are looked up, their rank, deg and a are summed and compared
+with those of v, entry by entry and without building a vector, and the cross
+pairing <v1,v2> is computed afresh.  So the records equal those of memo-free
+scans.  The memo is a local of `sweep`, dropped when it moves to the next
+surface; nothing is cached at module level or between calls.
 """
 
 from __future__ import annotations
@@ -203,9 +201,6 @@ def _bn_scan(
             mss_dim = d
         beta_dim = mss_dim + chi
     alphas: list[tuple[int, int]] = []
-    # a guard that cannot fire: length <= h0(O(nH)) gives chi >= 2
-    if chi <= 0:
-        return beta_dim, alphas
     for m in range(1, n):
         if 2 * m < n:
             continue
@@ -313,21 +308,17 @@ def _type_checks(
 def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     """Compare main classifiers against the oracles over the whole grid.
 
-    Shared by all thresholds, and computed once per point: the expanded
-    hn_runs against oracle_strata (`enumeration`, `stratum_dimension`), each
-    run's dimension against the closed form (`dim_formula`), and oracle_bn's
-    threshold-free scan.  Per threshold: the locus classification against
-    that scan's summary at the threshold, which is what oracle_bn returns
-    (`bn_summary`), and the closed-form component dimension identities
-    (`bn_dimension_identity`).  A shared mismatch is recorded under every
-    threshold.  Records come back threshold by threshold, in the order given,
-    each in grid order, so the result equals the concatenation of one sweep
-    per threshold.
-
-    One memo of ideal-sheaf pieces and their self-pairings serves every
-    point on a surface and is dropped when the sweep moves to the next
-    surface; each candidate type is still re-checked and its cross pairing
-    computed afresh, so the records equal those of memo-free scans.
+    The checks, by label: `enumeration` and `stratum_dimension` (expanded
+    hn_runs against oracle_strata) and `dim_formula` (each run against the
+    closed form), shared by every threshold; `bn_summary` (the locus
+    classification against oracle_bn's summary at the threshold) and
+    `bn_dimension_identity` (the closed-form component dimensions), per
+    threshold.  At each point and threshold the findings come as
+    `bn_summary`, then the shared checks, then the identities that fail; a
+    shared mismatch is recorded under every threshold.  Records come back threshold
+    by threshold, in the order given, each in grid order, so the result
+    equals the concatenation of one sweep per threshold.  What is shared per
+    point and the piece memo are described in the module docstring.
     """
     if not thresholds:
         raise ValueError("no threshold to sweep")
@@ -347,20 +338,17 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
                     runs = bn_runs(inp, threshold)
                     main = _main_summary(runs)
                     ora = _scan_summary(scan, threshold)
-                    if main != ora:
-                        records.append(
-                            Discrepancy(h2, n, length, threshold, "bn_summary", main, ora)
+                    found = [("bn_summary", main, ora)] if main != ora else []
+                    found += shared
+                    found += (
+                        (f"bn_dimension_identity[{kind}{triple or ''}]", dim, closed)
+                        for kind, triple, dim, closed in bn_component_dimension_identities(
+                            inp, runs
                         )
+                        if dim != closed
+                    )
                     records.extend(
                         Discrepancy(h2, n, length, threshold, check, lhs, rhs)
-                        for check, lhs, rhs in shared
+                        for check, lhs, rhs in found
                     )
-                    for kind, triple, dim, closed in bn_component_dimension_identities(
-                        inp, runs
-                    ):
-                        if dim != closed:
-                            label = f"bn_dimension_identity[{kind}{triple or ''}]"
-                            records.append(
-                                Discrepancy(h2, n, length, threshold, label, dim, closed)
-                            )
     return [r for records in per_threshold for r in records]

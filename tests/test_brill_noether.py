@@ -52,6 +52,11 @@ def test_bn_row_checks_its_inputs_as_bn_input_does():
     with pytest.raises(ValueError, match="negative subscheme length"):
         bn_row(S2, 1, [4, -1, 2])
     assert list(bn_row(S2, 1, range(0))) == []
+    with pytest.raises(ValueError, match="twist degree must be nonnegative"):
+        bn_row(S2, -1, [])
+    assert list(bn_row(S2, 2, [])) == []
+    with pytest.raises(ValueError, match="negative subscheme length"):
+        bn_row(S2, 0, [3, -2, 0])
 
 
 @settings(deadline=None, max_examples=60)

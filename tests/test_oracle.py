@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from hypothesis import given, settings
@@ -336,6 +339,29 @@ def test_scans_cache_nothing_between_calls(monkeypatch):
         assert built == first_built != []
         built.clear()
     assert snapshot() == before
+
+
+def test_sweep_orders_one_points_findings(monkeypatch):
+    # per threshold: bn_summary, then the shared checks, then the failing identities
+    import moduli_atlas.brill_noether as bn
+    import moduli_atlas.hn as hn
+
+    monkeypatch.setattr(hn, "table_runs", bump_run_dimensions)
+    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
+    records = sweep(GridSpec((2,), (3, 3), (6, 6)), 1, -1)
+    groups = [
+        (threshold, kind, len(list(group)))
+        for (threshold, kind), group in itertools.groupby(
+            records, lambda r: (r.threshold, re.match(r"[a-z_]+", r.check).group())
+        )
+    ]
+    per_threshold = [
+        ("bn_summary", 1),
+        ("stratum_dimension", 158),
+        ("dim_formula", 6),
+        ("bn_dimension_identity", 3),
+    ]
+    assert groups == [(t, kind, count) for t in (1, -1) for kind, count in per_threshold]
 
 
 def test_sweep_thresholds_concatenate_single_sweeps(monkeypatch):
