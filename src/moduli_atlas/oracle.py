@@ -1,22 +1,23 @@
 """Independent recomputation of the classifiers, and the grid sweep comparing both.
 
-`oracle_strata` (with its triples-only view `oracle_enumerate`) and
-`oracle_bn` rebuild their answers from raw pairing arithmetic and brute-force
-scans, sharing only the lattice primitives with the main modules; they
-deliberately loop differently (quotient length major, and sub-degrees scanned
-from n - m_max upward) so a bug in one side cannot hide in the other.
+`oracle_strata` (with its triples-only view `oracle_enumerate`) is the
+oracle's one scan of filtration types.  It rebuilds them from raw pairing
+arithmetic, sharing only the lattice primitives with the main modules, and
+scans sub-degrees from n - m_max upward so a bug in one side cannot hide in
+the other.  Each hit carries its stratum dimension and cross pairing, and
+`oracle_bn` reads its alpha components off the hits: it loops over no type.
 `bn_component_dimension_identities` holds the paper's closed-form component
 dimensions and pairs them with the listings of `bn_runs`, the main side's
 one classification of a point, which the command line prints too.
 
 `sweep` runs both sides over a grid at one or more thresholds and returns
 every disagreement.  Everything that does not depend on the threshold is
-worked out once per point and shared by all thresholds: the filtration
-types and per-type dimensions that the classifiers report (expanded
-`hn_runs`) against `oracle_strata`, each run's dimension against the closed
-form, and `oracle_bn`'s brute-force scan (the whole-scheme test, the beta
-dimension, and the pairing and dimension of every alpha type that meets the
-conditions other than the threshold).  Only `bn_runs`, that scan's summary
+worked out once per point and shared by all thresholds: one `oracle_strata`
+scan; against its hits, the types, per-type dimensions and pairings that the
+classifiers report (expanded `hn_runs`); each run's dimension against the
+closed form; and, from the same hits, `oracle_bn`'s whole-scheme test, beta
+dimension and the pairing and dimension of every alpha type that meets the
+conditions other than the threshold.  Only `bn_runs`, the oracle's summary
 and the component dimension identities are per threshold.
 
 Within one `sweep` call, each ideal-sheaf piece I_Z(deg*H) that
@@ -105,23 +106,24 @@ class Discrepancy(_Record):
 
 def oracle_strata(
     s: Surface, v: MukaiVector, m_max: int, pieces: dict | None = None
-) -> list[tuple[int, int, int, int]]:
+) -> list[tuple[int, int, int, int, int]]:
     """Brute-force scan for valid filtration types on v with m <= m_max.
 
     Scans sub-degrees from n - m_max upward so the slope bound is exercised,
     not assumed, and re-verifies each candidate against v: the rank, deg and
     a of its two pieces are summed and compared entry by entry, so no vector
-    is built.  Each hit (m, ell1, ell2, dim) carries the stratum dimension
-    <v1,v1> + <v2,v2> + <v1,v2> + 2 of those two pieces.  `pieces` memoizes
-    the pieces with their self-pairings (see `_pieces`); by default it
-    lasts for this call only.
+    is built.  Each hit (m, ell1, ell2, dim, pairing), in (m, ell1) order,
+    carries the cross pairing <v1,v2> of those two pieces and the stratum
+    dimension <v1,v1> + <v2,v2> + <v1,v2> + 2.  `pieces` memoizes the pieces
+    with their self-pairings (see `_pieces`); by default it lasts for this
+    call only.
     """
     rank, n, a = v.rank, v.deg, v.a
     h2 = s.h_squared
     c2 = second_chern(s, v)
     if pieces is None:
         pieces = {}
-    found: list[tuple[int, int, int, int]] = []
+    found: list[tuple[int, int, int, int, int]] = []
     for m in range(n - m_max, m_max + 1):
         quot_deg = n - m
         if m < quot_deg:
@@ -137,7 +139,8 @@ def oracle_strata(
                 continue
             if v1.rank + v2.rank != rank or v1.deg + v2.deg != n or v1.a + v2.a != a:
                 continue
-            found.append((m, ell1, ell2, p11 + p22 + mukai_pairing(s, v1, v2) + 2))
+            pairing = mukai_pairing(s, v1, v2)
+            found.append((m, ell1, ell2, p11 + p22 + pairing + 2, pairing))
     return found
 
 
@@ -162,30 +165,33 @@ def oracle_enumerate(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, 
 def oracle_bn(s: Surface, n: int, length: int, threshold: int) -> BnSummary:
     """Re-derive the locus classification straight from the defining conditions.
 
-    The summary at `threshold` of the point's one threshold-free scan
-    (`_bn_scan`); `sweep` runs that scan once and summarises it at each of
-    its thresholds.
+    The summary at `threshold` of the point's threshold-free part
+    (`_bn_scan`), which reads the alpha types off `oracle_strata` at window
+    n - 1; `sweep` works that part out once per point from its own scan's
+    hits and summarises it at each of its thresholds.
     """
     return _scan_summary(_bn_scan(s, n, length), threshold)
 
 
 def _bn_scan(
-    s: Surface, n: int, length: int
+    s: Surface, n: int, length: int, hits: list | None = None
 ) -> tuple[int | None, list[tuple[int, int]]] | None:
     """Everything `oracle_bn` finds at one point that does not depend on the threshold.
 
     None when `length` exceeds h0(O(nH)) (the whole Hilbert scheme).  Else
     the beta component's dimension (None without one) and the
-    (pairing, dimension) of every alpha type (m, ell1, ell2) that meets all
-    the other conditions, in scan order.  Per m, h0(O(qH)) is computed
-    once and the quotient cap h0(qH) > ell2 is tested before the two
-    pieces are built; each candidate within it is re-checked entry by entry
-    against v and paired afresh.
+    (pairing, dimension) of every alpha type, in scan order.  The alpha
+    types are the `hits` of `oracle_strata` on the point's vector with
+    m < n and ell2 < h0(O((n-m)H)), the quotient cap; `hits` must come from
+    a window m_max >= n - 1, and by default the scan runs `oracle_strata`
+    at window n - 1 itself.
     """
     h2 = s.h_squared
     if length > h0_line_bundle(s, n):
         return None
     v = MukaiVector(2, n, (n * n * h2) // 2 - length + 2)
+    if hits is None:
+        hits = oracle_strata(s, v, n - 1)
     chi = 2 + v.a
     beta_dim = None
     v0 = primitive_part(v)
@@ -201,26 +207,11 @@ def _bn_scan(
             mss_dim = d
         beta_dim = mss_dim + chi
     alphas: list[tuple[int, int]] = []
-    for m in range(1, n):
-        if 2 * m < n:
-            continue
-        quot_deg = n - m
-        quot_h0 = h0_line_bundle(s, quot_deg)
-        for ell2 in range(length + 1):
-            ell1 = length - m * quot_deg * h2 - ell2
-            if ell1 < 0:
-                continue
-            if 2 * m == n and ell2 <= ell1:
-                continue
-            if quot_h0 <= ell2:
-                continue
-            v1 = MukaiVector(1, m, (m * m * h2) // 2 - ell1 + 1)
-            v2 = MukaiVector(1, quot_deg, (quot_deg * quot_deg * h2) // 2 - ell2 + 1)
-            if v1.rank + v2.rank != v.rank or v1.deg + v2.deg != n or v1.a + v2.a != v.a:
-                continue
-            p12 = mukai_pairing(s, v1, v2)
-            dim = mukai_pairing(s, v1, v1) + mukai_pairing(s, v2, v2) + p12 + 2 + chi
-            alphas.append((p12, dim))
+    for m, _, ell2, dim, pairing in hits:
+        if m >= n:  # hits come in m order
+            break
+        if ell2 < h0_line_bundle(s, n - m):
+            alphas.append((pairing, dim + chi))
     return beta_dim, alphas
 
 
@@ -274,30 +265,33 @@ def _main_summary(runs: BNRuns) -> BnSummary:
 
 
 def _type_checks(
-    s: Surface, v: MukaiVector, m_max: int, pieces: dict
+    s: Surface, v: MukaiVector, m_max: int, strata: list
 ) -> list[tuple[str, object, object]]:
     """The threshold-independent checks at one point, as (check, main, oracle).
 
-    The types of the expanded hn_runs, each with its run's dimension, are
-    compared with oracle_strata: the triples as a list (`enumeration`), and
-    the dimension of every type both sides list (`stratum_dimension`).  Each
-    run's dimension is also compared with dim_hn_closed_form on its first
-    type (`dim_formula[m]`).  `pieces` is the memo oracle_strata fills.
+    The types of the expanded hn_runs, each with its run's dimension and
+    pairing, are compared with `strata`, the hits of oracle_strata on v at
+    m_max: the triples as a list (`enumeration`), and for every type both
+    sides list its dimension (`stratum_dimension`), then its pairing
+    (`stratum_pairing`).  Each run's dimension is also compared with
+    dim_hn_closed_form on its first type (`dim_formula[m]`).
     """
     runs = hn_runs(s, v, m_max)
-    strata = oracle_strata(s, v, m_max, pieces)
-    main = [(m, e, budget - e, dim) for m, hi, budget, _, dim in runs for e in range(hi + 1)]
+    main = [(m, e, b - e, dim, p) for m, hi, b, p, dim in runs for e in range(hi + 1)]
     found: list[tuple[str, object, object]] = []
     if main != strata:
         main_triples = [t[:3] for t in main]
         ora_triples = [t[:3] for t in strata]
         if main_triples != ora_triples:
             found.append(("enumeration", main_triples, ora_triples))
-        ora_dims = {t[:3]: t[3] for t in strata}
-        for t in main:
-            want = ora_dims.get(t[:3], t[3])
-            if want != t[3]:
-                found.append((f"stratum_dimension{t[:3]}", t[3], want))
+        ora = {t[:3]: t[3:] for t in strata}
+        for m, ell1, ell2, dim, pairing in main:
+            triple = (m, ell1, ell2)
+            ora_dim, ora_pairing = ora.get(triple, (dim, pairing))
+            if ora_dim != dim:
+                found.append((f"stratum_dimension{triple}", dim, ora_dim))
+            if ora_pairing != pairing:
+                found.append((f"stratum_pairing{triple}", pairing, ora_pairing))
     for m, _, budget, _, dim in runs:
         closed = dim_hn_closed_form(HNType(s, v, m, 0, budget))
         if dim != closed:
@@ -308,17 +302,20 @@ def _type_checks(
 def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     """Compare main classifiers against the oracles over the whole grid.
 
-    The checks, by label: `enumeration` and `stratum_dimension` (expanded
-    hn_runs against oracle_strata) and `dim_formula` (each run against the
-    closed form), shared by every threshold; `bn_summary` (the locus
-    classification against oracle_bn's summary at the threshold) and
-    `bn_dimension_identity` (the closed-form component dimensions), per
-    threshold.  At each point and threshold the findings come as
-    `bn_summary`, then the shared checks, then the identities that fail; a
-    shared mismatch is recorded under every threshold.  Records come back threshold
-    by threshold, in the order given, each in grid order, so the result
-    equals the concatenation of one sweep per threshold.  What is shared per
-    point and the piece memo are described in the module docstring.
+    The checks, by label: `enumeration`, `stratum_dimension` and
+    `stratum_pairing` (expanded hn_runs against oracle_strata) and
+    `dim_formula` (each run against the closed form), shared by every
+    threshold; `bn_summary` (the locus classification against oracle_bn's
+    summary at the threshold) and `bn_dimension_identity` (the closed-form
+    component dimensions), per threshold.  At each point and threshold the
+    findings come as `bn_summary`, then the shared checks (per type,
+    `stratum_dimension` before `stratum_pairing`), then the identities that
+    fail; a shared mismatch is recorded under every threshold.  Records come
+    back threshold by threshold, in the order given, each in grid order, so
+    the result equals the concatenation of one sweep per threshold.  One
+    oracle_strata scan per point feeds the type checks and oracle_bn's
+    threshold-free part; the module docstring says what else is shared and
+    describes the piece memo.
     """
     if not thresholds:
         raise ValueError("no threshold to sweep")
@@ -332,8 +329,10 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
             m_max = n + grid.m_margin
             for length in range(len_lo, len_hi + 1):
                 inp = BNInput(s, n, length)
-                shared = _type_checks(s, bn_mukai_vector(inp), m_max, pieces)
-                scan = _bn_scan(s, n, length)
+                v = bn_mukai_vector(inp)
+                strata = oracle_strata(s, v, m_max, pieces)
+                shared = _type_checks(s, v, m_max, strata)
+                scan = _bn_scan(s, n, length, strata)
                 for threshold, records in zip(thresholds, per_threshold):
                     runs = bn_runs(inp, threshold)
                     main = _main_summary(runs)

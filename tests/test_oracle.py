@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_atlas.brill_noether import BNInput, BNRuns, bn_runs, classify_bn
+from moduli_atlas.brill_noether import BNInput, BNRuns, bn_mukai_vector, bn_runs, classify_bn
 from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types, table_runs
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
@@ -97,8 +97,10 @@ def test_dimension_identities_empty_without_components():
     assert _identities(S2, 1, 5) == []
 
 
-def test_sweep_small_grid_clean():
-    assert sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1, 0) == []
+@pytest.mark.parametrize("margin", [4, 0])
+def test_sweep_small_grid_clean(margin):
+    # margin 0 is the smallest window, where the oracle's m < n stop matters
+    assert sweep(GridSpec((2, 4), (0, 6), (0, 30), margin), 1, 0) == []
 
 
 def test_sweep_degenerate_grid_clean():
@@ -222,24 +224,58 @@ def test_sweep_runs_the_oracle_once_per_point(monkeypatch):
     assert calls == first
 
 
-def test_sweep_runs_the_bn_oracle_scan_once_per_point(monkeypatch):
+def test_sweep_pairs_each_candidate_once_per_point(monkeypatch):
+    # the Brill-Noether oracle reads oracle_strata's pairings: no second cross pairing
+    import moduli_atlas.lattice as lattice
     import moduli_atlas.oracle as oracle
 
-    calls = []
-    honest = oracle._bn_scan
+    cross, hits = [], []
+    honest_strata = oracle.oracle_strata
 
-    def counting(s, n, length):
-        calls.append((s, n, length))
-        return honest(s, n, length)
+    def counting_pairing(s, v, w):
+        if v != w:
+            cross.append(1)
+        return lattice.mukai_pairing(s, v, w)
 
-    monkeypatch.setattr(oracle, "_bn_scan", counting)
+    def counting_strata(*args):
+        found = honest_strata(*args)
+        hits.append(len(found))
+        return found
+
+    monkeypatch.setattr(oracle, "mukai_pairing", counting_pairing)
+    monkeypatch.setattr(oracle, "oracle_strata", counting_strata)
+    assert sweep(GridSpec((2, 4), (0, 4), (0, 12)), 1, 0, -1) == []
+    assert len(hits) == 2 * 5 * 13
+    assert len(cross) == sum(hits) > 0
+
+
+def test_sweep_sees_a_torsion_free_pairing_fault(monkeypatch):
+    # the run pairing that tf_listings reads for `absorbed`, one too high in
+    # hn alone: only the per-type pairing check can see it
+    import moduli_atlas.hn as hn
+
+    def bump_run_pairings(c2, table):
+        return ((*run[:3], run[3] + 1, run[4]) for run in table_runs(c2, table))
+
+    monkeypatch.setattr(hn, "table_runs", bump_run_pairings)
     grid = GridSpec((2, 4), (0, 4), (0, 12))
-    assert sweep(grid, 1, 0, -1) == []
-    first = list(calls)
-    assert len(first) == len(set(first)) == 2 * 5 * 13
-    calls.clear()
-    assert sweep(grid, 1, 0, -1) == []
-    assert calls == first
+    records = sweep(grid, 1, -1)
+    assert records
+    assert {r.check.split("(")[0] for r in records} == {"stratum_pairing"}
+    # one record per type, at every point that has one, in grid and scan order
+    want = []
+    for h2 in grid.h_squared_values:
+        s = Surface(h2)
+        for n in range(grid.n_range[0], grid.n_range[1] + 1):
+            for length in range(grid.length_range[0], grid.length_range[1] + 1):
+                v = bn_mukai_vector(BNInput(s, n, length))
+                want.extend(
+                    (h2, n, length, f"stratum_pairing{t[:3]}")
+                    for t in oracle_strata(s, v, n + grid.m_margin)
+                )
+    for threshold in (1, -1):
+        found = [(r.h_squared, r.n, r.length, r.check) for r in records if r.threshold == threshold]
+        assert found == want
 
 
 @settings(deadline=None, max_examples=25)
@@ -269,18 +305,20 @@ def test_sweep_memo_hides_no_seeded_lattice_fault(monkeypatch):
     def shifted_cross_pairing(s, v, w):
         return honest_pairing(s, v, w) + (v != w and v.deg == 2)
 
-    # the re-check compares every entry of v1 + v2 with v: a shift in any one shows
+    # the re-check compares every entry of v1 + v2 with v: a shift in any one
+    # shows, to the type checks and to oracle_bn, which reads the same hits
     for entry in ("rank", "deg", "a"):
         monkeypatch.setattr(oracle, "ideal_sheaf_vector", shifted_vector(entry))
-        records = sweep(grid, 1, -1)
-        assert len(records) == 260, entry
-        assert {r.check for r in records} == {"enumeration"}, entry
+        checks = [r.check for r in sweep(grid, 1, -1)]
+        assert (checks.count("enumeration"), checks.count("bn_summary")) == (260, 12), entry
+        assert len(checks) == 260 + 12, entry
         monkeypatch.undo()
 
     monkeypatch.setattr(oracle, "mukai_pairing", shifted_cross_pairing)
     checks = [r.check.split("(")[0] for r in sweep(grid, 1, -1)]
-    assert (checks.count("stratum_dimension"), checks.count("bn_summary")) == (2160, 21)
-    assert len(checks) == 2160 + 21
+    counts = [checks.count(c) for c in ("stratum_dimension", "stratum_pairing", "bn_summary")]
+    assert counts == [2160, 2160, 21]
+    assert len(checks) == 2160 + 2160 + 21
     monkeypatch.undo()
 
     assert sweep(grid, 1, -1) == []
@@ -302,11 +340,12 @@ def test_every_hit_gets_its_own_cross_pairing(monkeypatch):
     s, v = S2, MukaiVector(2, 5, 3)
     hits = oracle_strata(s, v, 9)
     assert len(cross) == len(hits) == 315
-    for (m, ell1, ell2, dim), p12 in zip(hits, cross):
+    for (m, ell1, ell2, dim, pairing), p12 in zip(hits, cross):
         v1 = lattice.ideal_sheaf_vector(s, m, ell1)
         v2 = lattice.ideal_sheaf_vector(s, v.deg - m, ell2)
         p11, p22 = lattice.mukai_pairing(s, v1, v1), lattice.mukai_pairing(s, v2, v2)
         assert p12 == lattice.mukai_pairing(s, v1, v2)
+        assert pairing == p12 == HNType(s, v, m, ell1, ell2).sub_quotient_pairing()
         assert dim == p11 + p22 + p12 + 2
 
 
@@ -411,8 +450,10 @@ def test_oracle_strata_extends_oracle_enumerate(ctx):
     s, v, m_max = ctx
     strata = oracle_strata(s, v, m_max)
     assert [t[:3] for t in strata] == oracle_enumerate(s, v, m_max)
-    for m, ell1, ell2, dim in strata:
-        assert dim == dim_hn_stratum(HNType(s, v, m, ell1, ell2))
+    for m, ell1, ell2, dim, pairing in strata:
+        t = HNType(s, v, m, ell1, ell2)
+        assert dim == dim_hn_stratum(t)
+        assert pairing == t.sub_quotient_pairing()
 
 
 @settings(deadline=None, max_examples=40)

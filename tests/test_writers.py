@@ -11,6 +11,7 @@ make of those components.
 import contextlib
 import csv
 import io
+import json
 import re
 
 from hypothesis import given, settings, strategies as st
@@ -161,3 +162,24 @@ def test_bn_output_reads_back_as_classify_bn_components(h2, n, length, threshold
 def test_a_run_longer_than_one_piece_reads_back():
     # m = 1 on v = (2, 1, a) is one run of c2 + 1 types, written in two pieces
     _check_tf(2, 1, 5000, 1, 1, True)
+
+
+def test_text_prints_a_parsed_null_type_as_none():
+    # parse_json accepts an alpha or hn component whose "type" is null
+    bn = json.loads(_cli("classify-bn --h2 2 --n 2 --N 3 --format json".split()))
+    tf = json.loads(_cli("classify-tf --h2 2 --deg 2 --c2 3 --m-max 1 --format json".split()))
+    for doc in (bn, tf):
+        doc["components"][0]["type"] = None
+    bn["components"][0]["threshold_sensitive"] = True
+    tf["components"][0]["absorbed"] = True
+    assert render_text(parse_json(json.dumps(bn))) == (
+        "locus in Hilb^3  h2=2  n=2  v=(2, 2, 3)  threshold=1\n"
+        "verdict: 1 component(s) inside a Hilbert scheme of dimension 6\n"
+        "  alpha None  dimension 4  codimension 2  [threshold-sensitive]\n"
+    )
+    assert render_text(parse_json(json.dumps(tf))) == (
+        "torsion-free stack  h2=2  v=(2, 2, 3)  window m<=1  threshold=1\n"
+        "note: semistable stack empty\n"
+        "  type None   stack dimension -1  [absorbed]\n"
+        "1 component(s)\n"
+    )
