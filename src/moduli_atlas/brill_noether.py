@@ -141,7 +141,7 @@ def bn_row(
     """
     shortest = BNInput(s, n, min(lengths, default=0)).length
     h0 = h0_line_bundle(s, n)
-    c2_max = max((x for x in lengths if x <= h0), default=-1)
+    c2_max = max(filter(h0.__ge__, lengths), default=-1)
     # the second term is the pairing cut at the row's shortest length: an m
     # with m*q*H.H above it has a pairing above the threshold at every length.
     # h0 = n^2*H.H/2 + 2 for n >= 1; at n = 0 the table (m <= -1) is empty.
@@ -161,11 +161,14 @@ def _row_runs(s: Surface, n: int, lengths, h0: int, table, threshold: int) -> It
     """
     half = s.h_squared // 2
     top = n * n * half  # n^2*H.H/2
+    # the row's one possible exceptional point: the vector (2, n, 5) sits at
+    # length top - 3, and only H.H = 2 with n = 3 makes it exceptional
+    exc_length = top - 3 if exceptional(s, MukaiVector(2, n, 5)) else None
     for length in lengths:
         # bn_mukai_vector's vector, built here without a BNInput or another call
         v = MukaiVector(2, n, top - length + 2)
         hilb_dim = 2 * length
-        is_exc = exceptional(s, v)
+        is_exc = length == exc_length
         if length > h0:
             yield BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
             continue

@@ -12,8 +12,10 @@ the config and every command reads only its arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 
 from .brill_noether import BNInput, bn_runs
@@ -211,13 +213,24 @@ def _output_options(parser, formats=None, out: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a HelpFormatter for every add_argument call (to check the
+    # metavar), and each one asks the terminal for its size: read the width
+    # once here, as HelpFormatter itself would, and hand it to every parser.
+    # It is read per call, not at import, so that help follows COLUMNS.
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="moduli-atlas",
+        formatter_class=formatter,
         description="Exact classification of rank-2 torsion-free moduli components "
         "and of Brill-Noether loci of point Hilbert schemes on a Picard-rank-1 K3.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
+    )
 
     tf = _command(sub, "classify-tf", cmd_classify_tf, "strata of the rank-2 torsion-free stack")
     _vector_options(tf)

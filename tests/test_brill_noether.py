@@ -91,6 +91,20 @@ def test_exceptional_values():
     assert not exceptional(S2, MukaiVector(2, 3, 9))
 
 
+def test_bn_row_flags_the_exceptional_point_at_every_length():
+    # bn_row decides its exceptional point once per row; bn_runs is a
+    # one-length row, so the row-against-point property cannot see a wrong
+    # hoist: check each length against `exceptional` directly
+    flagged = []
+    for s in (S2, S4):
+        for n in range(7):
+            for runs in bn_row(s, n, range(60)):
+                assert runs.exceptional_case == exceptional(s, runs.mukai_vector)
+                if runs.exceptional_case:
+                    flagged.append((s.h_squared, n, runs.mukai_vector))
+    assert flagged == [(2, 3, MukaiVector(2, 3, 5))]
+
+
 def test_bn_runs_pairs_v_once_per_semistable_check(monkeypatch):
     # a point that can have a beta (n >= 1, not whole, not exceptional) costs
     # one self-pairing of v; any other point costs none

@@ -624,3 +624,36 @@ def test_classify_tf_pairs_v_once(capsys, monkeypatch, fmt, verbose):
         code, _, _ = run(capsys, "classify-tf", "--h2", "2", "--deg", "3", *vector,
                          "--m-max", "3", "--format", fmt, *verbose)
         assert code == EXIT_OK and len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify-bn", "--h2", "2", "--n", "3", "--N", "4"),
+        ("verify", "--h2", "2", "--n-range", "0..2", "--N-range", "0..4"),
+        ("classify-tf", "--help"),
+        ("classify-bn", "--h2", "two"),  # argparse's usage error
+    ],
+    ids=["classify-bn", "verify", "help", "usage-error"],
+)
+def test_each_call_queries_the_terminal_once(capsys, monkeypatch, argv):
+    # argparse would ask once per formatter it builds, one per option
+    import shutil
+
+    calls = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    run(capsys, *argv)
+    assert len(calls) == 1
+
+
+def test_help_width_follows_columns_on_every_call(capsys, monkeypatch):
+    # one process, COLUMNS changed between calls: no width frozen at import
+    # or at the first call
+    helps = []
+    for columns in ("60", "120", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "classify-tf", "--help")
+        assert code == EXIT_OK
+        helps.append(out)
+    assert helps[0] == helps[2] != helps[1]
