@@ -6,8 +6,8 @@ the irreducible components of the locus of length-N subschemes whose
 twisted ideal sheaf has a nonvanishing h^1 (in `bn_runs(...).listings`).
 Both answer with listings, one per sub-degree m, whose components share one
 filtration-type shape, one exact stack or locus dimension and one set of
-flags.  The report writers print the listings as they are, run by run, so a
-report costs what its bytes cost; `scan` and `oracle.sweep` read the same
+flags.  The writers of `report` print the listings as they are, run by run,
+so a report costs what its bytes cost; `scan` and `oracle.sweep` read the same
 listings.  `classify_tf_components` and `classify_bn` expand them into one
 `ComponentRecord` per stratum or component, with its filtration type
 (m, ell1, ell2).  `oracle.sweep` cross-checks the classifiers against

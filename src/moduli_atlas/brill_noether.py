@@ -88,8 +88,10 @@ class BNInput(_Record):
     __slots__ = ("surface", "n", "length")
 
     def __init__(self, surface: Surface, n: int, length: int) -> None:
+        self._check_ints("twist degree", n)
         if n < 0:
             raise ValueError("twist degree must be nonnegative")
+        self._check_ints("subscheme length", length)
         if length < 0:
             raise ValueError("negative subscheme length")
         self.surface = surface

@@ -56,8 +56,8 @@ worked out once per run, and whose ell1s and ell2s are equal-length
 sequences of the lengths: for a run, the two ranges that `run_listing`, and
 nothing else, builds.  An untyped entry (the semistable or the beta
 component) has m = ell1s = ell2s = None and stands for one component.
-The report writers print listings as they are, and `expand_listings` turns
-them into the `ComponentRecord`s of the library API.
+The writers of `report` print listings as they are, and `expand_listings`
+turns them into the `ComponentRecord`s of the library API.
 """
 
 from __future__ import annotations

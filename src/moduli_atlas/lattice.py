@@ -79,6 +79,13 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
+    @staticmethod
+    def _check_ints(what: str, *values) -> None:
+        """For the checking records: each value must be an `int`, and no `bool`."""
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{what} must be an integer, got {x!r}")
+
 
 class Surface(_Record):
     """Ambient datum: the self-intersection of the ample generator."""
@@ -86,6 +93,7 @@ class Surface(_Record):
     __slots__ = ("h_squared",)
 
     def __init__(self, h_squared: int) -> None:
+        self._check_ints("h2", h_squared)
         # the intersection form of a K3 is even, and H is ample
         if h_squared % 2 != 0 or h_squared < 2:
             raise ValueError("h2 must be even and >= 2")

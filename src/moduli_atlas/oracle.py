@@ -83,8 +83,10 @@ class GridSpec(_Record):
             Surface(h2)
             if h2 in h_squared_values[:i]:
                 raise ValueError(f"repeated h2 {h2}")
+        self._check_ints("range bound", *n_range, *length_range)
         if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
             raise ValueError("empty range")
+        self._check_ints("enumeration margin", m_margin)
         if m_margin < 0:
             raise ValueError("negative enumeration margin")
         self.h_squared_values = h_squared_values

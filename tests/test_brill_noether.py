@@ -23,6 +23,7 @@ from moduli_atlas.lattice import (
     mukai_pairing,
     second_chern,
 )
+from moduli_atlas.report import NOTE_EXCEPTIONAL, bn_head
 
 from util import surfaces
 
@@ -103,6 +104,16 @@ def test_bn_row_flags_the_exceptional_point_at_every_length():
                 if runs.exceptional_case:
                     flagged.append((s.h_squared, n, runs.mukai_vector))
     assert flagged == [(2, 3, MukaiVector(2, 3, 5))]
+
+
+def test_bn_head_notes_exactly_the_exceptional_point():
+    # the note reads `exceptional_case` alone: the flagged point is never whole
+    for s in (S2, S4):
+        for n in range(7):
+            for length, runs in enumerate(bn_row(s, n, range(60))):
+                notes = bn_head(BNInput(s, n, length), runs, 1).notes
+                assert notes == ((NOTE_EXCEPTIONAL,) if exceptional(s, runs.mukai_vector) else ())
+                assert not (notes and runs.verdict == VERDICT_WHOLE)
 
 
 def test_bn_runs_pairs_v_once_per_semistable_check(monkeypatch):

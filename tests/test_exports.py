@@ -49,3 +49,16 @@ def test_package_names_are_the_module_objects():
             assert getattr(moduli_atlas, name) is getattr(module, name), name
     assert set(EARLIER_EXPORTS) <= set(moduli_atlas.__all__)
     assert moduli_atlas.__version__ == importlib.import_module("moduli_atlas.version").VERSION
+
+
+def test_each_public_name_has_one_home():
+    # the package re-exports its submodules' lists; among the submodules, a
+    # name is published by one module only
+    homes: dict[str, str] = {}
+    shared = []
+    for name in MODULES[1:]:
+        for attr in getattr(importlib.import_module(name), "__all__", []):
+            if attr in homes:
+                shared.append((attr, homes[attr], name))
+            homes.setdefault(attr, name)
+    assert shared == []

@@ -199,6 +199,20 @@ def test_grid_margin_defaults_to_four():
         (lambda: GridSpec((2, 2), (3, 0), (0, 2), -1), "repeated h2 2"),
         (lambda: GridSpec((2,), (0, 1), (2, 0), -1), "empty range"),
         (lambda: GridSpec((2,), (0, 1), (0, 2), -1), "negative enumeration margin"),
+        # values that are not integers, and bools, are rejected before any arithmetic
+        (lambda: Surface(4.0), "h2 must be an integer, got 4.0"),
+        (lambda: Surface(True), "h2 must be an integer, got True"),
+        (lambda: BNInput(S2, 1.0, 4), "twist degree must be an integer, got 1.0"),
+        (lambda: BNInput(S2, True, 4), "twist degree must be an integer, got True"),
+        (lambda: BNInput(S2, -1, 4.0), "twist degree must be nonnegative"),
+        (lambda: BNInput(S2, 0, 4.0), "subscheme length must be an integer, got 4.0"),
+        (lambda: BNInput(S2, 0, False), "subscheme length must be an integer, got False"),
+        (lambda: GridSpec((4.0,), (0, 1), (0, 3)), "h2 must be an integer, got 4.0"),
+        (lambda: GridSpec((3,), (0, 1.0), (0, 3)), "h2 must be even and >= 2"),
+        (lambda: GridSpec((2,), (0, 1.0), (0, 3)), "range bound must be an integer, got 1.0"),
+        (lambda: GridSpec((2,), (0, 1), (False, 3)), "range bound must be an integer, got False"),
+        (lambda: GridSpec((2,), (0, 1), (0, 2), 4.0), "enumeration margin must be an integer, got 4.0"),
+        (lambda: GridSpec((2,), (1, 0), (0, 2), 4.0), "empty range"),
     ],
 )
 def test_checks_keep_their_messages_and_precedence(build, message):

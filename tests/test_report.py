@@ -30,7 +30,7 @@ from moduli_atlas.report import (
     tf_record,
 )
 from moduli_atlas.torsion_free import classify_tf_components, mss_nonempty, tf_listings
-from moduli_atlas.writers import _cell
+from moduli_atlas.report import _cell
 
 from util import surfaces, windowed_contexts
 
