@@ -88,6 +88,8 @@ class BNInput(_Record):
     __slots__ = ("surface", "n", "length")
 
     def __init__(self, surface: Surface, n: int, length: int) -> None:
+        if not isinstance(surface, Surface):
+            raise ValueError(f"surface must be a Surface, got {surface!r}")
         self._check_ints("twist degree", n)
         if n < 0:
             raise ValueError("twist degree must be nonnegative")

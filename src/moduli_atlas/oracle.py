@@ -83,6 +83,9 @@ class GridSpec(_Record):
             Surface(h2)
             if h2 in h_squared_values[:i]:
                 raise ValueError(f"repeated h2 {h2}")
+        for bounds in (n_range, length_range):
+            if not isinstance(bounds, tuple) or len(bounds) != 2:
+                raise ValueError(f"range must be a pair (low, high), got {bounds!r}")
         self._check_ints("range bound", *n_range, *length_range)
         if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
             raise ValueError("empty range")

@@ -5,8 +5,8 @@ Help is printed at 80 columns (`COLUMNS=80`), where Python 3.10, 3.11 and
 command, an unknown command, a bad int, a missing required option, `--a`
 with `--c2`, an ambiguous abbreviation), which print the usage and exit 2,
 and the CLI's own (a range without `..`, a range of non-integers, an empty
-range, a scan range below zero, no surface), which print one `error:` line
-and exit 2.
+range, a scan range below zero, no surface, a negative verify margin, an odd
+verify h2), which print one `error:` line and exit 2.
 """
 
 import pytest
@@ -160,6 +160,8 @@ ERRORS = {
     "scan --h2 2 --n-range=-1..2 --N-range=-3..3 --out t.csv":
         "error: twist degree must be nonnegative\n",
     "classify-bn --n 1 --N 4": "error: missing --h2\n",
+    "verify --margin=-1 --n-range 0..1 --N-range 0..2": "error: negative enumeration margin\n",
+    "verify --h2 3 --n-range 0..1 --N-range 0..2": "error: h2 must be even and >= 2\n",
 }
 
 

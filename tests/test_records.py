@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns
+from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns, bn_row, bn_runs
 from moduli_atlas.hn import ComponentRecord, HNType
 from moduli_atlas.lattice import MukaiVector, Surface, _Record
 from moduli_atlas.oracle import BnSummary, Discrepancy, GridSpec
@@ -213,6 +213,18 @@ def test_grid_margin_defaults_to_four():
         (lambda: GridSpec((2,), (0, 1), (False, 3)), "range bound must be an integer, got False"),
         (lambda: GridSpec((2,), (0, 1), (0, 2), 4.0), "enumeration margin must be an integer, got 4.0"),
         (lambda: GridSpec((2,), (1, 0), (0, 2), 4.0), "empty range"),
+        # ranges that are not pairs, checked after the surfaces and before the bounds
+        (lambda: GridSpec((2,), (0,), (0, 1)), "range must be a pair (low, high), got (0,)"),
+        (lambda: GridSpec((2,), (0, 1), (0, 1, 2)), "range must be a pair (low, high), got (0, 1, 2)"),
+        (lambda: GridSpec((2,), 3, (0, 1)), "range must be a pair (low, high), got 3"),
+        (lambda: GridSpec((2,), [0, 1], (0, 1)), "range must be a pair (low, high), got [0, 1]"),
+        (lambda: GridSpec((3,), (0,), (0, 1)), "h2 must be even and >= 2"),
+        (lambda: GridSpec((2,), (0, 1.0), (0,)), "range must be a pair (low, high), got (0,)"),
+        # a surface that is not a `Surface` is rejected before n and length
+        (lambda: BNInput(2, 1, 4), "surface must be a Surface, got 2"),
+        (lambda: BNInput(None, -1, 4.0), "surface must be a Surface, got None"),
+        (lambda: bn_runs(BNInput(2, 1, 4)), "surface must be a Surface, got 2"),
+        (lambda: next(bn_row(2, 1, (4,))), "surface must be a Surface, got 2"),
     ],
 )
 def test_checks_keep_their_messages_and_precedence(build, message):
