@@ -86,6 +86,17 @@ class _Record:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"{what} must be an integer, got {x!r}")
 
+    @staticmethod
+    def _check_ranges(*ranges) -> None:
+        """For `oracle.GridSpec` and `report.scan_rows`: each range must be a
+        tuple (low, high) of `int`s, and none may be empty (low > high)."""
+        for bounds in ranges:
+            if not isinstance(bounds, tuple) or len(bounds) != 2:
+                raise ValueError(f"range must be a pair (low, high), got {bounds!r}")
+        _Record._check_ints("range bound", *(x for bounds in ranges for x in bounds))
+        if any(low > high for low, high in ranges):
+            raise ValueError("empty range")
+
 
 class Surface(_Record):
     """Ambient datum: the self-intersection of the ample generator."""

@@ -11,14 +11,10 @@ dimensions and pairs them with the listings of `bn_runs`, the main side's
 one classification of a point, which the command line prints too.
 
 `sweep` runs both sides over a grid at one or more thresholds and returns
-every disagreement.  Everything that does not depend on the threshold is
-worked out once per point and shared by all thresholds: one `oracle_strata`
-scan; against its hits, the types, per-type dimensions and pairings that the
-classifiers report (expanded `hn_runs`); each run's dimension against the
-closed form; and, from the same hits, `oracle_bn`'s whole-scheme test, beta
-dimension and the pairing and dimension of every alpha type that meets the
-conditions other than the threshold.  Only `bn_runs`, the oracle's summary
-and the component dimension identities are per threshold.
+every disagreement that a check of `_CHECKS` finds.  Once per point it works
+out what no threshold changes (`_Point`): one `oracle_strata` scan,
+`hn_runs` and, from the same hits, `_bn_scan`; per threshold, only `bn_runs`
+and the per-threshold checks.
 
 Within one `sweep` call, each ideal-sheaf piece I_Z(deg*H) that
 `oracle_strata` tries is built once per surface, together with its
@@ -79,16 +75,13 @@ class GridSpec(_Record):
     ) -> None:
         if not h_squared_values:
             raise ValueError("empty range")
+        if not isinstance(h_squared_values, tuple):
+            raise ValueError(f"h2 values must be a tuple, got {h_squared_values!r}")
         for i, h2 in enumerate(h_squared_values):
             Surface(h2)
             if h2 in h_squared_values[:i]:
                 raise ValueError(f"repeated h2 {h2}")
-        for bounds in (n_range, length_range):
-            if not isinstance(bounds, tuple) or len(bounds) != 2:
-                raise ValueError(f"range must be a pair (low, high), got {bounds!r}")
-        self._check_ints("range bound", *n_range, *length_range)
-        if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
-            raise ValueError("empty range")
+        self._check_ranges(n_range, length_range)
         self._check_ints("enumeration margin", m_margin)
         if m_margin < 0:
             raise ValueError("negative enumeration margin")
@@ -261,69 +254,85 @@ def bn_component_dimension_identities(
     return checks
 
 
-def _main_summary(runs: BNRuns) -> BnSummary:
-    """The summary of `bn_runs`' listings that `oracle_bn` recomputes."""
+class _Point(_Record):
+    """What `sweep` works out once per point, for every check to read."""
+
+    __slots__ = ("s", "inp", "v", "strata", "hn_runs", "bn_scan")
+
+
+def _bn_summary(labels, point: _Point, runs: BNRuns, threshold: int) -> list:
+    """The summary of `runs`' listings against `oracle_bn`'s at `threshold`."""
     alpha_count = sum(listing_size(x) for x in runs.listings if x[0] == "alpha")
     beta = any(x[0] == "beta" for x in runs.listings)
     dims = tuple(sorted(x[1] for x in runs.listings for _ in range(listing_size(x))))
-    return BnSummary(runs.verdict, alpha_count, beta, dims)
+    main = BnSummary(runs.verdict, alpha_count, beta, dims)
+    ora = _scan_summary(point.bn_scan, threshold)
+    return [(labels[0], main, ora)] if main != ora else []
 
 
-def _type_checks(
-    s: Surface, v: MukaiVector, m_max: int, strata: list
-) -> list[tuple[str, object, object]]:
-    """The threshold-independent checks at one point, as (check, main, oracle).
-
-    The types of the expanded hn_runs, each with its run's dimension and
-    pairing, are compared with `strata`, the hits of oracle_strata on v at
-    m_max: the triples as a list (`enumeration`), and for every type both
-    sides list its dimension (`stratum_dimension`), then its pairing
-    (`stratum_pairing`).  Each run's dimension is also compared with
-    dim_hn_closed_form on its first type (`dim_formula[m]`).
-    """
-    runs = hn_runs(s, v, m_max)
-    main = [(m, e, b - e, dim, p) for m, hi, b, p, dim in runs for e in range(hi + 1)]
-    found: list[tuple[str, object, object]] = []
-    if main != strata:
+def _types(labels, point: _Point) -> list:
+    """The expanded hn_runs against the hits: the triples as a list, then for
+    every type both sides' dimension, then their pairing."""
+    enumeration, dim_label, pairing_label = labels
+    main = [(m, e, b - e, dim, p) for m, hi, b, p, dim in point.hn_runs for e in range(hi + 1)]
+    found = []
+    if main != point.strata:
         main_triples = [t[:3] for t in main]
-        ora_triples = [t[:3] for t in strata]
+        ora_triples = [t[:3] for t in point.strata]
         if main_triples != ora_triples:
-            found.append(("enumeration", main_triples, ora_triples))
-        ora = {t[:3]: t[3:] for t in strata}
+            found.append((enumeration, main_triples, ora_triples))
+        ora = {t[:3]: t[3:] for t in point.strata}
         for m, ell1, ell2, dim, pairing in main:
             triple = (m, ell1, ell2)
             ora_dim, ora_pairing = ora.get(triple, (dim, pairing))
             if ora_dim != dim:
-                found.append((f"stratum_dimension{triple}", dim, ora_dim))
+                found.append((f"{dim_label}{triple}", dim, ora_dim))
             if ora_pairing != pairing:
-                found.append((f"stratum_pairing{triple}", pairing, ora_pairing))
-    for m, _, budget, _, dim in runs:
-        closed = dim_hn_closed_form(HNType(s, v, m, 0, budget))
-        if dim != closed:
-            found.append((f"dim_formula[{m}]", dim, closed))
+                found.append((f"{pairing_label}{triple}", pairing, ora_pairing))
     return found
+
+
+def _dim_formula(labels, point: _Point) -> list:
+    """Each run's dimension against dim_hn_closed_form on its first type."""
+    found = []
+    for m, _, budget, _, dim in point.hn_runs:
+        closed = dim_hn_closed_form(HNType(point.s, point.v, m, 0, budget))
+        if dim != closed:
+            found.append((f"{labels[0]}[{m}]", dim, closed))
+    return found
+
+
+def _bn_dimension_identities(labels, point: _Point, runs: BNRuns, threshold: int) -> list:
+    """The failing `bn_component_dimension_identities` of `runs`."""
+    return [
+        (f"{labels[0]}[{kind}{triple or ''}]", dim, closed)
+        for kind, triple, dim, closed in bn_component_dimension_identities(point.inp, runs)
+        if dim != closed
+    ]
+
+
+# Every check of `sweep` in recording order, as (labels, per_threshold, check):
+# `check(labels, point[, bn_runs at the threshold, threshold])` returns its
+# findings as (label, main, oracle), each label a stem of `labels` plus any
+# suffix; a shared check runs once per point, for every threshold.
+_CHECKS = (
+    (("bn_summary",), True, _bn_summary),
+    (("enumeration", "stratum_dimension", "stratum_pairing"), False, _types),
+    (("dim_formula",), False, _dim_formula),
+    (("bn_dimension_identity",), True, _bn_dimension_identities),
+)
 
 
 def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     """Compare main classifiers against the oracles over the whole grid.
 
-    The checks, by label: `enumeration`, `stratum_dimension` and
-    `stratum_pairing` (expanded hn_runs against oracle_strata) and
-    `dim_formula` (each run against the closed form), shared by every
-    threshold; `bn_summary` (the locus classification against oracle_bn's
-    summary at the threshold) and `bn_dimension_identity` (the closed-form
-    component dimensions), per threshold.  At each point and threshold the
-    findings come as `bn_summary`, then the shared checks (per type,
-    `stratum_dimension` before `stratum_pairing`), then the identities that
-    fail; a shared mismatch is recorded under every threshold.  Records come
-    back threshold by threshold, in the order given, each in grid order, so
-    the result equals the concatenation of one sweep per threshold.  One
-    oracle_strata scan per point feeds the type checks and oracle_bn's
-    threshold-free part; the module docstring says what else is shared and
-    describes the piece memo.
+    At each point and threshold, findings come in `_CHECKS` order.  Records
+    come back threshold by threshold, in the order given, each in grid order,
+    so the result equals the concatenation of one sweep per threshold.
     """
     if not thresholds:
         raise ValueError("no threshold to sweep")
+    _Record._check_ints("threshold", *thresholds)
     per_threshold: list[list[Discrepancy]] = [[] for _ in thresholds]
     n_lo, n_hi = grid.n_range
     len_lo, len_hi = grid.length_range
@@ -336,23 +345,14 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
                 inp = BNInput(s, n, length)
                 v = bn_mukai_vector(inp)
                 strata = oracle_strata(s, v, m_max, pieces)
-                shared = _type_checks(s, v, m_max, strata)
                 scan = _bn_scan(s, n, length, strata)
+                point = _Point(s, inp, v, strata, hn_runs(s, v, m_max), scan)
+                shared = [() if each else check(labels, point) for labels, each, check in _CHECKS]
                 for threshold, records in zip(thresholds, per_threshold):
                     runs = bn_runs(inp, threshold)
-                    main = _main_summary(runs)
-                    ora = _scan_summary(scan, threshold)
-                    found = [("bn_summary", main, ora)] if main != ora else []
-                    found += shared
-                    found += (
-                        (f"bn_dimension_identity[{kind}{triple or ''}]", dim, closed)
-                        for kind, triple, dim, closed in bn_component_dimension_identities(
-                            inp, runs
-                        )
-                        if dim != closed
-                    )
-                    records.extend(
-                        Discrepancy(h2, n, length, threshold, check, lhs, rhs)
-                        for check, lhs, rhs in found
-                    )
+                    for (labels, each, check), found in zip(_CHECKS, shared):
+                        if each:
+                            found = check(labels, point, runs, threshold)
+                        if found:
+                            records.extend(Discrepancy(h2, n, length, threshold, *f) for f in found)
     return [r for records in per_threshold for r in records]

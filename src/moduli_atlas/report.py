@@ -369,10 +369,11 @@ def scan_rows(
 
     Each twist is one `bn_row`.  The row of a point reads its listings
     (those of `bn_runs`) and never expands them, so it costs O(#runs) however
-    many components the point has.
+    many components the point has.  The ranges are checked as `GridSpec`
+    checks its own, then the threshold must be an `int`.
     """
-    if n_range[0] > n_range[1] or length_range[0] > length_range[1]:
-        raise ValueError("empty range")
+    _Record._check_ranges(n_range, length_range)
+    _Record._check_ints("threshold", threshold)
     h2 = s.h_squared
     lengths = range(length_range[0], length_range[1] + 1)
     rows = []

@@ -444,6 +444,118 @@ def test_sweep_needs_a_threshold():
         sweep(GridSpec((2,), (0, 0), (0, 1)))
 
 
+def stem(label):
+    """The label stem of a check, without its type or run suffix."""
+    return re.match(r"[a-z_]+", label).group()
+
+
+def seed_run_dimensions(monkeypatch):
+    import moduli_atlas.brill_noether as bn
+    import moduli_atlas.hn as hn
+
+    monkeypatch.setattr(hn, "table_runs", bump_run_dimensions)
+    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
+
+
+def seed_cross_pairing(monkeypatch):
+    import moduli_atlas.oracle as oracle
+
+    honest = oracle.mukai_pairing
+
+    def shifted(s, v, w):
+        return honest(s, v, w) + (v != w and v.deg == 2)
+
+    monkeypatch.setattr(oracle, "mukai_pairing", shifted)
+
+
+def seed_lattice_entry(monkeypatch):
+    import moduli_atlas.oracle as oracle
+
+    honest = oracle.ideal_sheaf_vector
+
+    def shifted(s, deg, length):
+        w = honest(s, deg, length)
+        return MukaiVector(w.rank, w.deg, w.a + 1) if length == 3 else w
+
+    monkeypatch.setattr(oracle, "ideal_sheaf_vector", shifted)
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("per_threshold", [False, True])
+def test_a_table_entry_records_at_its_place(monkeypatch, per_threshold, position):
+    # a shared entry runs once per point and is recorded under every threshold;
+    # either scope lands at its place in the table at each point and threshold
+    import moduli_atlas.oracle as oracle
+
+    seed_run_dimensions(monkeypatch)
+    grid = GridSpec((2,), (3, 3), (5, 7))
+    honest = sweep(grid, 1, -1)
+    entry_of = {label: i for i, (labels, _, _) in enumerate(oracle._CHECKS) for label in labels}
+    calls = []
+
+    def probe(labels, point, *at):
+        if at:
+            runs, threshold = at
+            assert runs == bn_runs(point.inp, threshold)
+        calls.append((point.inp.length, *at[1:]))
+        return [(f"{labels[0]}[{point.inp.length}]", point.inp.length, at[1] if at else None)]
+
+    table = list(oracle._CHECKS)
+    table.insert(position, (("probe",), per_threshold, probe))
+    monkeypatch.setattr(oracle, "_CHECKS", tuple(table))
+    entry_of["probe"] = position - 0.5  # after the entries before it, before the rest
+    records = sweep(grid, 1, -1)
+    assert [r for r in records if stem(r.check) != "probe"] == honest
+
+    lengths = range(5, 8)
+    if per_threshold:
+        assert calls == [(length, t) for length in lengths for t in (1, -1)]
+    else:
+        assert calls == [(length,) for length in lengths]
+    for (threshold, length), group in itertools.groupby(records, lambda r: (r.threshold, r.length)):
+        group = list(group)
+        order = [entry_of[stem(r.check)] for r in group]
+        assert order == sorted(order)
+        probes = [r for r in group if stem(r.check) == "probe"]
+        assert [(r.check, r.main, r.oracle) for r in probes] == [
+            (f"probe[{length}]", length, threshold if per_threshold else None)
+        ]
+    assert len(records) == len(honest) + 2 * len(lengths)
+
+
+def test_each_finding_has_a_stem_its_entry_declares(monkeypatch):
+    # each stem is declared by one entry, only that entry's check emits it,
+    # and the seeded faults between them reach every stem
+    import moduli_atlas.oracle as oracle
+
+    declared = [label for labels, _, _ in oracle._CHECKS for label in labels]
+    assert len(declared) == len(set(declared))
+    emitted = []
+
+    def tagged(labels, check):
+        def run(*args):
+            found = check(*args)
+            emitted.extend((labels, label) for label, _, _ in found)
+            return found
+
+        return run
+
+    table = tuple((labels, each, tagged(labels, check)) for labels, each, check in oracle._CHECKS)
+    monkeypatch.setattr(oracle, "_CHECKS", table)
+    grid = GridSpec((2, 4), (0, 4), (0, 12))
+    seen = set()
+    for seed in (seed_run_dimensions, seed_cross_pairing, seed_lattice_entry):
+        emitted.clear()
+        with pytest.MonkeyPatch.context() as faults:
+            seed(faults)
+            records = sweep(grid, 1, -1)
+        assert records, seed.__name__
+        assert all(stem(label) in labels for labels, label in emitted), seed.__name__
+        assert {label for _, label in emitted} == {r.check for r in records}, seed.__name__
+        seen |= {stem(r.check) for r in records}
+    assert seen == set(declared)
+
+
 @settings(deadline=None, max_examples=40)
 @given(windowed_contexts())
 def test_oracle_strata_extends_oracle_enumerate(ctx):

@@ -16,8 +16,8 @@ import pytest
 from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns, bn_row, bn_runs
 from moduli_atlas.hn import ComponentRecord, HNType
 from moduli_atlas.lattice import MukaiVector, Surface, _Record
-from moduli_atlas.oracle import BnSummary, Discrepancy, GridSpec
-from moduli_atlas.report import ReportRecord, ScanRow
+from moduli_atlas.oracle import BnSummary, Discrepancy, GridSpec, sweep
+from moduli_atlas.report import ReportRecord, ScanRow, scan_rows
 
 S2 = Surface(2)
 V = MukaiVector(2, 3, 5)
@@ -225,6 +225,24 @@ def test_grid_margin_defaults_to_four():
         (lambda: BNInput(None, -1, 4.0), "surface must be a Surface, got None"),
         (lambda: bn_runs(BNInput(2, 1, 4)), "surface must be a Surface, got 2"),
         (lambda: next(bn_row(2, 1, (4,))), "surface must be a Surface, got 2"),
+        # h2 values must be a tuple (a list would make the grid unhashable),
+        # checked after emptiness and before the surfaces
+        (lambda: GridSpec([2, 4], (0, 3), (0, 3)), "h2 values must be a tuple, got [2, 4]"),
+        (lambda: GridSpec([], (0, 3), (0, 3)), "empty range"),
+        (lambda: GridSpec([3], (0,), (0, 3)), "h2 values must be a tuple, got [3]"),
+        # scan_rows checks its ranges as GridSpec does, then its threshold
+        (lambda: scan_rows(S2, (0,), (0, 3), 1), "range must be a pair (low, high), got (0,)"),
+        (lambda: scan_rows(S2, (0, 1, 2), (0, 3), 1), "range must be a pair (low, high), got (0, 1, 2)"),
+        (lambda: scan_rows(S2, [0, 1], (0, 3), 1), "range must be a pair (low, high), got [0, 1]"),
+        (lambda: scan_rows(S2, (False, True), (0, 3), 1), "range bound must be an integer, got False"),
+        (lambda: scan_rows(S2, (1, 0), (0, 3.0), 1.5), "range bound must be an integer, got 3.0"),
+        (lambda: scan_rows(S2, (1, 0), (0, 3), 1.5), "empty range"),
+        (lambda: scan_rows(S2, (0, 1), (0, 3), 1.5), "threshold must be an integer, got 1.5"),
+        (lambda: scan_rows(S2, (0, 1), (0, 3), True), "threshold must be an integer, got True"),
+        # sweep wants at least one threshold, each an int
+        (lambda: sweep(GridSpec((2,), (0, 0), (0, 1))), "no threshold to sweep"),
+        (lambda: sweep(GridSpec((2,), (0, 0), (0, 1)), 1.5), "threshold must be an integer, got 1.5"),
+        (lambda: sweep(GridSpec((2,), (0, 0), (0, 1)), 1, True), "threshold must be an integer, got True"),
     ],
 )
 def test_checks_keep_their_messages_and_precedence(build, message):
