@@ -140,10 +140,12 @@ def bn_row(
     """Classify W at twist n and each length of `lengths` (a sequence), in order.
 
     The inputs are checked, before any point is classified, as the `BNInput`
-    of the row's shortest length (0 for no lengths); h^0(O(n*H)) and the run
-    table (see the module docstring) are worked out once for the whole row.
+    of the row's shortest length (0 for no lengths), then the threshold must
+    be an `int`; h^0(O(n*H)) and the run table (see the module docstring) are
+    worked out once for the whole row.
     """
     shortest = BNInput(s, n, min(lengths, default=0)).length
+    _Record._check_ints("threshold", threshold)
     h0 = h0_line_bundle(s, n)
     c2_max = max(filter(h0.__ge__, lengths), default=-1)
     # the second term is the pairing cut at the row's shortest length: an m

@@ -332,7 +332,6 @@ def sweep(grid: GridSpec, *thresholds: int) -> list[Discrepancy]:
     """
     if not thresholds:
         raise ValueError("no threshold to sweep")
-    _Record._check_ints("threshold", *thresholds)
     per_threshold: list[list[Discrepancy]] = [[] for _ in thresholds]
     n_lo, n_hi = grid.n_range
     len_lo, len_hi = grid.length_range

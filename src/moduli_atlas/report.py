@@ -370,15 +370,15 @@ def scan_rows(
     Each twist is one `bn_row`.  The row of a point reads its listings
     (those of `bn_runs`) and never expands them, so it costs O(#runs) however
     many components the point has.  The ranges are checked as `GridSpec`
-    checks its own, then the threshold must be an `int`.
+    checks its own, then the first `bn_row` checks s, n and the threshold.
     """
     _Record._check_ranges(n_range, length_range)
-    _Record._check_ints("threshold", threshold)
-    h2 = s.h_squared
     lengths = range(length_range[0], length_range[1] + 1)
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
-        for length, runs in zip(lengths, bn_row(s, n, lengths, threshold)):
+        row = bn_row(s, n, lengths, threshold)
+        h2 = s.h_squared  # read once bn_row has checked s
+        for length, runs in zip(lengths, row):
             # one pass: the whole scheme has no listings, only its dimension
             alpha, beta = 0, False
             lo = hi = runs.hilb_dimension if runs.verdict == VERDICT_WHOLE else None

@@ -24,7 +24,7 @@ threshold is a parameter with default 1 everywhere.
 from __future__ import annotations
 
 from .hn import ComponentRecord, expand_listings, hn_runs, run_listing
-from .lattice import MukaiVector, Surface, divisibility, mukai_pairing
+from .lattice import MukaiVector, Surface, _Record, divisibility, mukai_pairing
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -74,6 +74,7 @@ def tf_listings(
     once for the whole run.
     """
     runs = hn_runs(s, v, m_max)  # rejects a rank other than 2 first
+    _Record._check_ints("threshold", threshold)
     mss = _mss_dim(s, v)
     nonempty = mss is not None
     out: list[tuple] = []

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns, bn_row, bn_runs
+from moduli_atlas.brill_noether import BNInput, BNReport, BNRuns, bn_row, bn_runs, classify_bn
 from moduli_atlas.hn import ComponentRecord, HNType
 from moduli_atlas.lattice import MukaiVector, Surface, _Record
 from moduli_atlas.oracle import BnSummary, Discrepancy, GridSpec, sweep
 from moduli_atlas.report import ReportRecord, ScanRow, scan_rows
+from moduli_atlas.torsion_free import classify_tf_components, tf_listings
 
 S2 = Surface(2)
 V = MukaiVector(2, 3, 5)
@@ -243,6 +244,22 @@ def test_grid_margin_defaults_to_four():
         (lambda: sweep(GridSpec((2,), (0, 0), (0, 1))), "no threshold to sweep"),
         (lambda: sweep(GridSpec((2,), (0, 0), (0, 1)), 1.5), "threshold must be an integer, got 1.5"),
         (lambda: sweep(GridSpec((2,), (0, 0), (0, 1)), 1, True), "threshold must be an integer, got True"),
+        # both classifiers check the threshold: bn_row after its BNInput,
+        # tf_listings after hn_runs has checked the rank
+        (lambda: bn_runs(BNInput(S2, 3, 6), 1.5), "threshold must be an integer, got 1.5"),
+        (lambda: bn_runs(BNInput(S2, 3, 6), True), "threshold must be an integer, got True"),
+        (lambda: classify_bn(BNInput(S2, 3, 6), 1.5), "threshold must be an integer, got 1.5"),
+        (lambda: classify_bn(BNInput(S2, 3, 6), True), "threshold must be an integer, got True"),
+        (lambda: next(bn_row(S2, 3, (6,), 1.5)), "threshold must be an integer, got 1.5"),
+        (lambda: next(bn_row(S2, 3, (6,), True)), "threshold must be an integer, got True"),
+        (lambda: next(bn_row(S2, -1, (6,), 1.5)), "twist degree must be nonnegative"),
+        (lambda: tf_listings(S2, V, 4, 0.5), "threshold must be an integer, got 0.5"),
+        (lambda: tf_listings(S2, V, 4, False), "threshold must be an integer, got False"),
+        (lambda: tf_listings(S2, MukaiVector(1, 3, 5), 4, 0.5), "unsupported rank"),
+        (lambda: classify_tf_components(S2, V, 4, 0.5), "threshold must be an integer, got 0.5"),
+        (lambda: classify_tf_components(S2, V, 4, False), "threshold must be an integer, got False"),
+        # scan_rows leaves the surface to bn_row, which checks it before it is read
+        (lambda: scan_rows(2, (0, 1), (0, 3), 1), "surface must be a Surface, got 2"),
     ],
 )
 def test_checks_keep_their_messages_and_precedence(build, message):
