@@ -33,7 +33,9 @@ at N0, its shortest length (an m with (m^2+q^2)*H.H/2 < N0 - 2 - threshold
 has a pairing above the threshold at every length).  Both cuts bound
 m*q*H.H from above, so the table is built up to the smaller bound, and a
 point costs O(#runs), not O(n).  Each point reads the plain run tuples of `hn.table_runs` and
-hands each kept alpha run to `hn.run_listing`.
+hands each kept alpha run to `hn.run_listing`.  A row checks every length
+before it classifies any, and `scan_rows` asks for its rows one twist at a
+time, as they are written.
 
 The quotient cap.  a(quotient) > -1 caps the quotient length at
 ell2 <= (n-m)^2*H.H/2 + 1, a lower bound on ell1 of the run of m.  With
@@ -139,11 +141,14 @@ def bn_row(
 ) -> Iterator[BNRuns]:
     """Classify W at twist n and each length of `lengths` (a sequence), in order.
 
-    The inputs are checked, before any point is classified, as the `BNInput`
+    The inputs are checked before any point is classified: every length
+    must be an `int`, then s, n and the lengths are checked as the `BNInput`
     of the row's shortest length (0 for no lengths), then the threshold must
     be an `int`; h^0(O(n*H)) and the run table (see the module docstring) are
     worked out once for the whole row.
     """
+    if type(lengths) is not range:  # a range holds only ints
+        _Record._check_ints("subscheme length", *lengths)
     shortest = BNInput(s, n, min(lengths, default=0)).length
     _Record._check_ints("threshold", threshold)
     h0 = h0_line_bundle(s, n)

@@ -22,7 +22,7 @@ from .brill_noether import BNInput, bn_runs
 from .lattice import MukaiVector, Surface
 from .oracle import DEFAULT_GRID, GridSpec, sweep
 from .polygon import write_polygon_svg
-from .report import SCAN_RENDERERS, WRITERS, bn_head, scan_rows, tf_head
+from .report import SCAN_WRITERS, WRITERS, bn_head, scan_rows, tf_head
 from .torsion_free import DEFAULT_THRESHOLD, tf_listings
 from .version import VERSION
 
@@ -103,7 +103,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _format(args, table: dict, default: str):
-    """The entry of `table` (`WRITERS` or `SCAN_RENDERERS`) for the format asked for."""
+    """The writer in `table` (`WRITERS` or `SCAN_WRITERS`) for the format asked for."""
     fmt = default if args.format is None else args.format
     if fmt not in table:
         raise ValueError(f"unknown format {fmt!r}")
@@ -118,8 +118,8 @@ def _write_output(args, fill) -> str:
     return path
 
 
-# Each command resolves every input, its writer or renderer too, before it
-# classifies, so a rejected command does no work and writes nothing.
+# Each command resolves every input, its writer too, before it classifies,
+# so a rejected command does no work and writes nothing.
 
 
 def cmd_classify_tf(args) -> int:
@@ -145,11 +145,11 @@ def cmd_scan(args) -> int:
     s = _surface(args)
     threshold = _threshold(args)
     n_range, length_range = _parse_range(args.n_range), _parse_range(args.N_range)
-    render = _format(args, SCAN_RENDERERS, "csv")
-    rows = scan_rows(s, n_range, length_range, threshold)
-    content = render(rows)
-    path = _write_output(args, lambda write: write(content))
-    print(f"{len(rows)} rows -> {path}")
+    writer = _format(args, SCAN_WRITERS, "csv")
+    rows = scan_rows(s, n_range, length_range, threshold)  # checked here, made as written
+    path = _write_output(args, lambda write: writer(write, rows))
+    (n_lo, n_hi), (length_lo, length_hi) = n_range, length_range
+    print(f"{(n_hi - n_lo + 1) * (length_hi - length_lo + 1)} rows -> {path}")
     return EXIT_OK
 
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = _command(sub, "scan", cmd_scan, "classify a rectangle of (n, N) to a table")
     _range_options(scan)
-    _output_options(scan, SCAN_RENDERERS, out=True)
+    _output_options(scan, SCAN_WRITERS, out=True)
 
     poly = _command(sub, "polygon", cmd_polygon, "SVG of the filtration polygons")
     _vector_options(poly)

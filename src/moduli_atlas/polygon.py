@@ -11,7 +11,7 @@ higher degree plots higher), and the output bytes depend only on the input.
 from __future__ import annotations
 
 from .lattice import MukaiVector, Surface
-from .report import format_types
+from .report import _collect, format_types
 
 __all__ = ["polygon_svg", "write_polygon_svg"]
 
@@ -88,6 +88,4 @@ def _color(i: int) -> str:
 
 def polygon_svg(s: Surface, v: MukaiVector, listings: list[tuple], m_max: int) -> str:
     """`write_polygon_svg` as one string."""
-    parts: list[str] = []
-    write_polygon_svg(parts.append, s, v, listings, m_max)
-    return "".join(parts)
+    return _collect(lambda write: write_polygon_svg(write, s, v, listings, m_max))

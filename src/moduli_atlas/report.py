@@ -14,8 +14,11 @@ same report as one flat record with a `ComponentRecord` per component;
 `render_text`, `render_csv` and `render_json` run the same writers on it
 and collect the pieces into a string, and `parse_json(render_json(r)) == r`.
 A scan row summarises the listings of `bn_runs` at one point, as
-`classify-bn` prints them, without expanding them; `scan_rows` reads them
-row by row from `bn_row`.
+`classify-bn` prints them, without expanding them.  `scan_rows` checks its
+inputs at once, then makes the rows lazily, one `bn_row` per twist, and
+`write_scan_csv` and `write_scan_json` write them as they come, in pieces
+of at most `_BLOCK` rows, so a scan holds one row table and one piece
+however large its rectangle.
 
 The bytes follow one set of rules, and every rendering is deterministic.
 A JSON document carries its schema tag (`SCHEMA_REPORT`, `SCHEMA_SCAN`) and
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 
 from .brill_noether import VERDICT_COMPONENTS, VERDICT_WHOLE, BNInput, BNReport, bn_row
 from .hn import ComponentRecord, listing_size
@@ -60,9 +64,11 @@ __all__ = [
     "render_csv",
     "render_text",
     "scan_rows",
+    "write_scan_csv",
+    "write_scan_json",
+    "SCAN_WRITERS",
     "render_scan_csv",
     "render_scan_json",
-    "SCAN_RENDERERS",
 ]
 
 SCHEMA_REPORT = "moduli-atlas/report/v1"
@@ -75,7 +81,8 @@ NOTE_SEMISTABLE_EMPTY = "semistable stack empty"
 NOTE_EXCEPTIONAL = "exceptional case: no semistable component"
 
 
-# types per piece of a listing that `format_types` formats at once
+# types per piece of a listing that `format_types` formats at once, and
+# rows per piece of a scan table
 _BLOCK = 4096
 
 
@@ -108,9 +115,31 @@ def _scalar(x: int | bool | None) -> str:
     return str(x)
 
 
+def _collect(fill) -> str:
+    """What `fill(write)` writes, as one string."""
+    parts: list[str] = []
+    fill(parts.append)
+    return "".join(parts)
+
+
+def _write_list(write, pieces: Iterator[str]) -> None:
+    """A list value of the top-level object, from pieces of rendered entries
+    joined by `_JSON_SEP`: `[]`, or one entry a line."""
+    first = next(pieces, None)
+    if first is None:
+        write("[]")
+        return
+    write("[\n    ")
+    write(first)
+    for piece in pieces:
+        write(_JSON_SEP)
+        write(piece)
+    write("\n  ]")
+
+
 def _list(items: list[str]) -> str:
-    """A list value of the top-level object: `[]`, or one rendered item a line."""
-    return "[\n    " + _JSON_SEP.join(items) + "\n  ]" if items else "[]"
+    """`_write_list` of rendered items, as one string."""
+    return _collect(lambda write: _write_list(write, iter(items)))
 
 
 # Each `_<format>_entries` gives a listing's text in pieces (see
@@ -137,17 +166,7 @@ def _json_entries(kind, dim, codim, absorbed, sensitive, m, ell1s, ell2s) -> Ite
 
 def write_json(write, head, listings: list[tuple]) -> None:
     write(f'{{\n  "N": {_scalar(head.length)},\n  "components": ')
-    pieces = (piece for listing in listings for piece in _json_entries(*listing))
-    first = next(pieces, None)
-    if first is None:
-        write("[]")
-    else:
-        write("[\n    ")
-        write(first)
-        for piece in pieces:
-            write(_JSON_SEP)
-            write(piece)
-        write("\n  ]")
+    _write_list(write, (piece for listing in listings for piece in _json_entries(*listing)))
     write(
         ",\n"
         f'  "h2": {head.h_squared},\n'
@@ -302,9 +321,7 @@ def _record_listings(components) -> list[tuple]:
 
 def _render(writer, r: ReportRecord) -> str:
     """What `writer` writes for the record, as one string."""
-    parts: list[str] = []
-    writer(parts.append, r, _record_listings(r.components))
-    return "".join(parts)
+    return _collect(lambda write: writer(write, r, _record_listings(r.components)))
 
 
 def render_json(r: ReportRecord) -> str:
@@ -364,20 +381,27 @@ def scan_rows(
     n_range: tuple[int, int],
     length_range: tuple[int, int],
     threshold: int,
-) -> list[ScanRow]:
+) -> Iterator[ScanRow]:
     """One classification row per (n, N) over inclusive ranges, in row order.
 
     Each twist is one `bn_row`.  The row of a point reads its listings
     (those of `bn_runs`) and never expands them, so it costs O(#runs) however
-    many components the point has.  The ranges are checked as `GridSpec`
-    checks its own, then the first `bn_row` checks s, n and the threshold.
+    many components the point has.  The inputs are checked at once: the
+    ranges as `GridSpec` checks its own, then s, the first twist and the
+    threshold by the first `bn_row`.  The rows are then made as they are
+    read, so a caller that writes them as it goes holds one row table.
     """
     _Record._check_ranges(n_range, length_range)
+    twists = range(n_range[0], n_range[1] + 1)
     lengths = range(length_range[0], length_range[1] + 1)
-    rows = []
-    for n in range(n_range[0], n_range[1] + 1):
-        row = bn_row(s, n, lengths, threshold)
-        h2 = s.h_squared  # read once bn_row has checked s
+    first = bn_row(s, twists[0], lengths, threshold)  # checks s before it is read
+    rows = chain((first,), (bn_row(s, n, lengths, threshold) for n in twists[1:]))
+    return _scan_rows(s.h_squared, twists, lengths, threshold, rows)
+
+
+def _scan_rows(h2: int, twists, lengths, threshold: int, rows) -> Iterator[ScanRow]:
+    """The rows of `scan_rows`, from the `bn_row` of each twist."""
+    for n, row in zip(twists, rows):
         for length, runs in zip(lengths, row):
             # one pass: the whole scheme has no listings, only its dimension
             alpha, beta = 0, False
@@ -392,20 +416,25 @@ def scan_rows(
                     lo = dim
                 if hi is None or dim > hi:
                     hi = dim
-            rows.append(ScanRow(h2, n, length, runs.verdict, alpha, beta, lo, hi, threshold))
-    return rows
+            yield ScanRow(h2, n, length, runs.verdict, alpha, beta, lo, hi, threshold)
 
 
-def render_scan_csv(rows: list[ScanRow]) -> str:
-    lines = [SCAN_COLUMNS]
-    for r in rows:
-        lo = "" if r.min_dim is None else r.min_dim
-        hi = "" if r.max_dim is None else r.max_dim
-        lines.append(
+def _blocks(rows: Iterable[ScanRow]) -> Iterator[list[ScanRow]]:
+    """`rows` in lists of at most `_BLOCK`, so a writer's memory stays bounded."""
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK)):
+        yield block
+
+
+def write_scan_csv(write, rows: Iterable[ScanRow]) -> None:
+    write(SCAN_COLUMNS + "\n")
+    for block in _blocks(rows):
+        write("".join([
             f"{r.h_squared},{r.n},{r.length},{r.verdict},{r.alpha_count},"
-            f"{_LITERAL[r.beta]},{lo},{hi},{r.threshold}"
-        )
-    return "\n".join(lines) + "\n"
+            f"{_LITERAL[r.beta]},{'' if r.min_dim is None else r.min_dim},"
+            f"{'' if r.max_dim is None else r.max_dim},{r.threshold}\n"
+            for r in block
+        ]))
 
 
 def _scan_row_json(r: ScanRow) -> str:
@@ -424,15 +453,28 @@ def _scan_row_json(r: ScanRow) -> str:
     )
 
 
-def render_scan_json(rows: list[ScanRow]) -> str:
-    return (
-        "{\n"
-        f'  "rows": {_list([_scan_row_json(r) for r in rows])},\n'
+def write_scan_json(write, rows: Iterable[ScanRow]) -> None:
+    write('{\n  "rows": ')
+    _write_list(write, (_JSON_SEP.join([_scan_row_json(r) for r in b]) for b in _blocks(rows)))
+    write(
+        ",\n"
         f'  "schema": {json.dumps(SCHEMA_SCAN)},\n'
         f'  "tool_version": {json.dumps(VERSION)}\n'
         "}\n"
     )
 
 
-# format name -> scan table renderer(rows)
-SCAN_RENDERERS = {"csv": render_scan_csv, "json": render_scan_json}
+# format name -> scan table writer(write, rows), in the order of the help text
+SCAN_WRITERS = {"csv": write_scan_csv, "json": write_scan_json}
+
+
+def render_scan_csv(rows: Iterable[ScanRow]) -> str:
+    """`write_scan_csv` as one string.  The command line does not call it: it
+    stays because `bench/tracing.py` binds it and `tests/test_report.py` pins
+    the scan bytes through it, as `render_scan_json`."""
+    return _collect(lambda write: write_scan_csv(write, rows))
+
+
+def render_scan_json(rows: Iterable[ScanRow]) -> str:
+    """`write_scan_json` as one string, kept for the same reasons as `render_scan_csv`."""
+    return _collect(lambda write: write_scan_json(write, rows))

@@ -144,7 +144,7 @@ def test_sweep_and_scan_see_a_seeded_listing_fault(monkeypatch):
         assert any(r.check == "bn_summary" for r in records)
         assert any(r.check.startswith("bn_dimension_identity[alpha") for r in records)
     want = max(oracle_bn(S2, 3, 6, 1).dimensions) + 1
-    assert scan_rows(S2, (3, 3), (6, 6), 1)[0].max_dim == want
+    assert list(scan_rows(S2, (3, 3), (6, 6), 1))[0].max_dim == want
 
 
 def test_sweep_classifies_each_point_once(monkeypatch):

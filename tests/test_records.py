@@ -260,6 +260,9 @@ def test_grid_margin_defaults_to_four():
         (lambda: classify_tf_components(S2, V, 4, False), "threshold must be an integer, got False"),
         # scan_rows leaves the surface to bn_row, which checks it before it is read
         (lambda: scan_rows(2, (0, 1), (0, 3), 1), "surface must be a Surface, got 2"),
+        # bn_row checks every length, not only its shortest
+        (lambda: bn_row(S2, 1, (0, 2.5)), "subscheme length must be an integer, got 2.5"),
+        (lambda: bn_row(S2, 1, (0, True)), "subscheme length must be an integer, got True"),
     ],
 )
 def test_checks_keep_their_messages_and_precedence(build, message):

@@ -153,7 +153,7 @@ def test_records_pass_classifier_components_through():
 
 
 def test_scan_rows_grid():
-    rows = scan_rows(S2, (1, 3), (0, 12), 1)
+    rows = list(scan_rows(S2, (1, 3), (0, 12), 1))
     assert len(rows) == 39
     assert [(r.n, r.length) for r in rows] == [
         (n, length) for n in (1, 2, 3) for length in range(13)
@@ -175,7 +175,7 @@ def test_scan_rows_rejects_empty_ranges():
 
 
 def test_scan_csv_header_and_stability():
-    rows = scan_rows(S2, (1, 3), (0, 12), 1)
+    rows = list(scan_rows(S2, (1, 3), (0, 12), 1))
     text = render_scan_csv(rows)
     assert text.splitlines()[0] == SCAN_COLUMNS
     assert text.splitlines()[0] == "h2,n,N,verdict,alpha_count,beta,min_dim,max_dim,threshold"
@@ -338,4 +338,4 @@ def test_classifier_reports_match_canonical_dump():
         _bn_rec(Surface(6), 4, 17, -1),
     ):
         _assert_report_pinned(rec)
-    _assert_scan_pinned(scan_rows(S2, (0, 4), (0, 15), -1))
+    _assert_scan_pinned(list(scan_rows(S2, (0, 4), (0, 15), -1)))

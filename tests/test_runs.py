@@ -50,7 +50,7 @@ LENGTH_RANGES = [(0, LENGTH_MAX), (37, 160)]
 @pytest.mark.parametrize("h2", [2, 4, 6])
 def test_scan_rows_match_expanded_components_and_oracle(h2, threshold, length_range):
     s = Surface(h2)
-    rows = scan_rows(s, (0, N_MAX), length_range, threshold)
+    rows = list(scan_rows(s, (0, N_MAX), length_range, threshold))
     lengths = range(length_range[0], length_range[1] + 1)
     assert [(r.n, r.length) for r in rows] == [
         (n, length) for n in range(N_MAX + 1) for length in lengths
@@ -119,7 +119,7 @@ def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
 
     monkeypatch.setattr(bn, "run_table", counting)
     s = Surface(2)
-    rows = scan_rows(s, (0, 4), (0, 12), 1)
+    rows = list(scan_rows(s, (0, 4), (0, 12), 1))
     assert len(rows) == 5 * 13
     # each table reaches the row's largest length that is not the whole scheme
     assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n))) for n in range(5)]
