@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands: classify-tf, classify-bn, scan, polygon, verify.  Exit codes:
-0 success, 1 verify found discrepancies, 2 usage or domain error, 4 I/O
-error.  An optional JSON config file, named by the MODULI_ATLAS_CONFIG
-environment variable, can preset defaults for h2, format, threshold, m_max
-and the output directory.  `main` merges it into the parsed arguments once,
-filling each option the command line left unset, so explicit flags win over
-the config and every command reads only its arguments.
+0 success, 1 verify found discrepancies, 2 usage or domain error or out of
+memory, 4 I/O error.  An optional JSON config file, named by the
+MODULI_ATLAS_CONFIG environment variable, can preset defaults for h2,
+format, threshold, m_max and the output directory.  `main` merges it into
+the parsed arguments once, filling each option the command line left unset,
+so explicit flags win over the config and every command reads only its
+arguments.
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

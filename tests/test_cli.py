@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import jsonschema
 import pytest
 
+import moduli_atlas
 from moduli_atlas.cli import (
     CONFIG_ENV,
     EXIT_IO,
@@ -25,6 +29,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh Python on `args`, with this package importable and no config."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moduli_atlas.__file__)))
+    env.pop(CONFIG_ENV, None)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
 
 
 def test_classify_tf_json(capsys):
@@ -235,6 +248,51 @@ def test_scan_unwritable_path_is_an_io_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_out_of_memory_is_a_clean_usage_exit(capsys, monkeypatch):
+    # not exit 1, which is verify's "discrepancies", and no traceback
+    import moduli_atlas.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "tf_listings", exhausted)
+    assert run(capsys, "classify-tf", "--h2", "2", "--deg", "3", "--a", "5") == (
+        EXIT_USAGE, "", "error: out of memory\n",
+    )
+
+
+# a child Python that limits its address space as `ulimit -v 400000` does, then runs the CLI
+LIMITED_CLI = """import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024,) * 2)
+runpy.run_module("moduli_atlas.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, file_sha256",
+    [
+        ("scan --h2 2 --n-range 0..9 --N-range 0..99999 --out big.csv", "1000000 rows -> big.csv\n",
+         "7a07ca793fbdaed119c47188f19e2b116fe13de6e9c58b3709a41788b5a68a54"),  # written as made
+        ("classify-bn --h2 2 --n 20000000 --N 5",  # a huge twist: O(#runs) work, not O(n)
+         "locus in Hilb^5  h2=2  n=20000000  v=(2, 20000000, 399999999999997)  threshold=1\n"
+         "verdict: empty locus\n", None),
+        ("classify-bn --h2 2 --n 20000000 --N 400000000000002",
+         "locus in Hilb^400000000000002  h2=2  n=20000000  v=(2, 20000000, 0)  threshold=1\n"
+         "verdict: 1 component(s) inside a Hilbert scheme of dimension 800000000000004\n"
+         "  beta               dimension 800000000000003  codimension 1\n", None),
+    ],
+    ids=["scan-million-rows", "bn-huge-twist-empty", "bn-huge-twist-whole"],
+)
+def test_runs_under_a_400_mb_address_space_limit(tmp_path, argv, stdout, file_sha256):
+    proc = run_child(["-c", LIMITED_CLI, *argv.split()], cwd=tmp_path, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, stdout, "")
+    if file_sha256 is not None:
+        written = tmp_path / "big.csv"
+        digest = hashlib.sha256(written.read_bytes()).hexdigest()
+        written.unlink()
+        assert digest == file_sha256
+
+
 def test_polygon_output(capsys, tmp_path):
     out_file = tmp_path / "p.svg"
     code, out, _ = run(
@@ -263,13 +321,24 @@ def test_polygon_empty_banner(capsys, tmp_path):
     assert "no components in window" in out_file.read_text()
 
 
-def test_verify_clean_grid(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--h2", "2", "--n-range", "0..3", "--N-range", "0..10",
-    )
-    assert code == EXIT_OK
-    assert "threshold 1: 0 discrepancies" in out
-    assert "threshold -1: 0 discrepancies" in out
+BOTH_CLEAN = "threshold 1: 0 discrepancies\nthreshold -1: 0 discrepancies\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("--h2 2 --n-range 0..3 --N-range 0..10", BOTH_CLEAN),
+        ("", BOTH_CLEAN),  # the default grid
+        ("--margin 0", BOTH_CLEAN),  # the smallest window: the oracle stops at m = n
+        ("--h2 8 --h2 10 --n-range 0..6 --N-range 0..60", BOTH_CLEAN),  # the cap and h0 grow with h2
+        ("--h2 2 --h2 4 --n-range 14..16 --N-range 60..180", BOTH_CLEAN),  # the cap rejects most types
+        ("--threshold 0", "threshold 0: 0 discrepancies\n"),  # pairing-1 runs drop out
+        ("--threshold 2", "threshold 2: 0 discrepancies\n"),  # pairing-2 runs are listed
+    ],
+    ids=["h2-2", "default", "margin-0", "h2-8-10", "long-lengths", "threshold-0", "threshold-2"],
+)
+def test_verify_clean_grid(capsys, argv, expected):
+    assert run(capsys, "verify", *argv.split()) == (EXIT_OK, expected, "")
 
 
 def test_verify_single_threshold(capsys):
@@ -529,18 +598,7 @@ def test_shared_options_have_one_help_text(capsys, monkeypatch):
 
 
 def test_module_entry_point_prints_the_version():
-    import os
-    import subprocess
-    import sys
-
-    import moduli_atlas
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moduli_atlas.__file__)))
-    env.pop(CONFIG_ENV, None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "moduli_atlas.cli", "--version"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_child(["-m", "moduli_atlas.cli", "--version"], timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"moduli-atlas {VERSION}\n", "")
 
 
@@ -625,6 +683,17 @@ def test_flag_beats_a_different_config_value(run_with, command, key):
     flag_only = run_with(argv, {})
     assert run_with(_matrix_argv(command, key), {key: other}) != flag_only  # the values differ
     assert run_with(argv, {key: other}) == flag_only
+
+
+def test_combined_config_gives_the_bytes_of_the_flags(run_with):
+    # every key classify-tf reads, set at once; a threshold flag still wins
+    config = {"h2": 2, "format": "json", "threshold": 0, "m_max": 4}
+    argv = "classify-tf --deg 3 --a 5"
+    flags = f"{argv} --h2 2 --format json --m-max 4"
+    zero, one = run_with(f"{flags} --threshold 0", {}), run_with(f"{flags} --threshold 1", {})
+    assert zero[0] == EXIT_OK and zero != one
+    assert run_with(argv, config) == zero
+    assert run_with(f"{argv} --threshold 1", config) == one
 
 
 @pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["plain", "verbose"])

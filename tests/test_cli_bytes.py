@@ -9,7 +9,9 @@ the exceptional vector, threshold-sensitive alphas, n = 0, and the three
 kinds of polygon picture (with a chord, without one, and the empty-window
 banner).  The scan rectangles, in CSV and JSON at thresholds 1, 0 and -1,
 hold all three verdicts, the n = 0 row, the exceptional point and alphas
-that a threshold of 0 or -1 drops.
+that a threshold of 0 or -1 drops.  The large cases add the README `scan`
+example, 480 rows of long quotient lengths on `h2 = 6` at thresholds 1 and
+-1, and three classify outputs where the quotient cap binds.
 """
 
 import hashlib
@@ -68,6 +70,16 @@ SCAN_CASES = [
     )
     for fmt in ("csv", "json")
     for t in (1, 0, -1)
+]
+
+LARGE_CASES = [
+    "scan --h2 2 --n-range 1..3 --N-range 0..12 --out table.csv",  # the README example
+    "scan --h2 2 --n-range 1..3 --N-range 0..12 --format json --out table.json",
+    *(f"scan --h2 6 --n-range 9..12 --N-range 100..219 --threshold={t} --format {fmt} --out heavy{t}.{fmt}"
+      for t in (1, -1) for fmt in ("csv", "json")),  # long quotient lengths: the cap rejects most types
+    "classify-bn --h2 2 --n 40 --N 700 --format csv",  # the quotient cap binds
+    "classify-bn --h2 6 --n 12 --N 150 --threshold=-1",
+    "classify-tf --h2 4 --deg 9 --c2 120 --m-max 20 --format csv",  # a wide window
 ]
 
 POLYGON_CASES = [
@@ -248,6 +260,24 @@ DIGESTS = {
         "640f3ccee4f6aef6a9d2aac3e481eff40eddf138ca1b3098d2328fc060a88ee9",
     "scan --h2 4 --n-range 0..2 --N-range 0..9 --format json --threshold -1 --out table":
         "3cb6372782ced06677b17a898f01162ea2ee9a53d4952ff15cebcf4c9cc130f1",
+    "scan --h2 2 --n-range 1..3 --N-range 0..12 --out table.csv":
+        "c725d4fcda88891f1bacb8c75e8af3becf60059537379398a2d45c4879bc38f9",
+    "scan --h2 2 --n-range 1..3 --N-range 0..12 --format json --out table.json":
+        "2b0f2fb9d8737392bd4dc26940e571f508f117f427dee211e303b714f9a32115",
+    "scan --h2 6 --n-range 9..12 --N-range 100..219 --threshold=1 --format csv --out heavy1.csv":
+        "d0e9af844380190b6a1d8b7139b350f1cd7a4807e0b8493aa538ce34e536182a",
+    "scan --h2 6 --n-range 9..12 --N-range 100..219 --threshold=1 --format json --out heavy1.json":
+        "fa59179ad74cca9cc11be83074d038b0bf0147c07efa08834fc04d3e5c62c306",
+    "scan --h2 6 --n-range 9..12 --N-range 100..219 --threshold=-1 --format csv --out heavy-1.csv":
+        "4bc7c4aff14f9b937122a51784b61ec2bee4163784ba032071994659d91a9e41",
+    "scan --h2 6 --n-range 9..12 --N-range 100..219 --threshold=-1 --format json --out heavy-1.json":
+        "15eef3ca517ed5c59036fcc6f5125201aef060ccbb4c5044a9544e7e76049658",
+    "classify-bn --h2 2 --n 40 --N 700 --format csv":
+        "fe53883fb3840f29b7abd77019016bf113c6c50462a39f3511519fcbbcb731c9",
+    "classify-bn --h2 6 --n 12 --N 150 --threshold=-1":
+        "7a949d6039913e0f4b6cb176a9bc98c2242f619514a47c4c66373efb2e43f289",
+    "classify-tf --h2 4 --deg 9 --c2 120 --m-max 20 --format csv":
+        "11c0599eaa05999a08d74ac6179ac76a6c76e998ce53797e38d0fd93a74fdd57",
     "polygon --h2 2 --deg 3 --a 5 --m-max 3 --out p.svg":
         "3a9ae35d521586e8107e6bf6620c3921af817813b89600f244edac9ec469127e",
     "polygon --h2 4 --deg 2 --c2 10 --m-max 4 --threshold 0 --out p.svg":
@@ -278,7 +308,7 @@ def _run(argv, capsys, tmp_path, monkeypatch) -> str:
     return _digest(code, out, written)
 
 
-CASES = TF_CASES + BN_CASES + SCAN_CASES + POLYGON_CASES
+CASES = TF_CASES + BN_CASES + SCAN_CASES + LARGE_CASES + POLYGON_CASES
 
 
 @pytest.mark.parametrize("argv", CASES)

@@ -7,6 +7,8 @@ with `--c2`, an ambiguous abbreviation), which print the usage and exit 2,
 and the CLI's own (a range without `..`, a range of non-integers, an empty
 range, a scan range below zero, no surface, a negative verify margin, an odd
 verify h2), which print one `error:` line and exit 2.
+At `COLUMNS=60` and `100` only the widest line of a help is pinned: it
+is laid out at `COLUMNS - 2` though stdout is no terminal.
 """
 
 import pytest
@@ -187,6 +189,13 @@ def test_help_bytes_are_pinned(run, command):
     if command == "scan":
         expected.append(HELP[command].replace(USAGE_SCAN, USAGE_SCAN_313))
     assert (code, err) == (0, "") and out in expected
+
+
+@pytest.mark.parametrize("columns, widest", [(60, 58), (100, 94)])
+def test_help_is_laid_out_at_columns_less_two(run, monkeypatch, columns, widest):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    code, out, err = run("classify-tf --help")
+    assert (code, err) == (0, "") and max(map(len, out.splitlines())) == widest
 
 
 def test_version_bytes_are_pinned(run):
