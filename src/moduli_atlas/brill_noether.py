@@ -26,16 +26,15 @@ exist under one reading of the inclusion bound but not the other, and carry a
 sub-degree m, it gives at each length along one twist n the components as
 listings (see `hn`), the beta entry and one per alpha run.  `scan_rows`
 reads rows; `bn_runs` is the one-length row, which the command line writes,
-`oracle.sweep` reads and `classify_bn` expands into `ComponentRecord`s.  A
-row works out the run table of `hn` once, cut twice: by the budget at N,
-the row's largest length that is not the whole scheme, and by the pairing
-at N0, its shortest length (an m with (m^2+q^2)*H.H/2 < N0 - 2 - threshold
-has a pairing above the threshold at every length).  Both cuts bound
-m*q*H.H from above, so the table is built up to the smaller bound, and a
-point costs O(#runs), not O(n).  Each point reads the plain run tuples of `hn.table_runs` and
-hands each kept alpha run to `hn.run_listing`.  A row checks every length
-before it classifies any, and `scan_rows` asks for its rows one twist at a
-time, as they are written.
+`oracle.sweep` reads and `classify_bn` expands into `ComponentRecord`s.  At
+each length N <= h^0 a row reads the top-down scan `hn.runs_down` from
+m = n - 1, and the scan stops twice: by itself, at the first negative
+budget, and in the row, at the first pairing above the threshold.  Both
+stops hold for every lower m, because as m falls m*q*H.H only grows, so
+the budget only shrinks and the pairing only grows; a point therefore costs
+O(#runs), not O(n).  Each kept alpha run goes to `hn.run_listing`.  A row
+checks every length before it classifies any, and `scan_rows` asks for its
+rows one twist at a time, as they are written.
 
 The quotient cap.  a(quotient) > -1 caps the quotient length at
 ell2 <= (n-m)^2*H.H/2 + 1, a lower bound on ell1 of the run of m.  With
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .hn import expand_listings, run_listing, run_table, table_runs
+from .hn import expand_listings, run_listing, runs_down
 from .lattice import (
     MukaiVector,
     Surface,
@@ -139,30 +138,23 @@ def bn_runs(inp: BNInput, threshold: int = DEFAULT_THRESHOLD) -> BNRuns:
 def bn_row(
     s: Surface, n: int, lengths, threshold: int = DEFAULT_THRESHOLD
 ) -> Iterator[BNRuns]:
-    """Classify W at twist n and each length of `lengths` (a sequence), in order.
+    """Classify W at twist n and each length of `lengths` (an iterable), in order.
 
     The inputs are checked before any point is classified: every length
     must be an `int`, then s, n and the lengths are checked as the `BNInput`
     of the row's shortest length (0 for no lengths), then the threshold must
-    be an `int`; h^0(O(n*H)) and the run table (see the module docstring) are
-    worked out once for the whole row.
+    be an `int`; h^0(O(n*H)) is worked out once for the whole row.
     """
     if type(lengths) is not range:  # a range holds only ints
+        lengths = tuple(lengths)  # read once: an iterator is used up by the checks
         _Record._check_ints("subscheme length", *lengths)
-    shortest = BNInput(s, n, min(lengths, default=0)).length
+    BNInput(s, n, min(lengths, default=0))
     _Record._check_ints("threshold", threshold)
-    h0 = h0_line_bundle(s, n)
-    c2_max = max(filter(h0.__ge__, lengths), default=-1)
-    # the second term is the pairing cut at the row's shortest length: an m
-    # with m*q*H.H above it has a pairing above the threshold at every length.
-    # h0 = n^2*H.H/2 + 2 for n >= 1; at n = 0 the table (m <= -1) is empty.
-    table = run_table(s, n, n - 1, min(c2_max, h0 - shortest + threshold))
-    return _row_runs(s, n, lengths, h0, table, threshold)
+    return _row_runs(s, n, lengths, h0_line_bundle(s, n), threshold)
 
 
-def _row_runs(s: Surface, n: int, lengths, h0: int, table, threshold: int) -> Iterator[BNRuns]:
-    """Classify W at each length, given h^0(O(n*H)) and a `run_table` of twist n
-    that holds every run some length can list.
+def _row_runs(s: Surface, n: int, lengths, h0: int, threshold: int) -> Iterator[BNRuns]:
+    """Classify W at each length, given h^0(O(n*H)).
 
     m <= n - 1 keeps the quotient twist n - m >= 1.  Each alpha run's
     dimension (stratum dimension plus chi(v)), codimension and
@@ -184,15 +176,12 @@ def _row_runs(s: Surface, n: int, lengths, h0: int, table, threshold: int) -> It
             yield BNRuns(VERDICT_WHOLE, hilb_dim, v, is_exc, ())
             continue
         chi = euler_characteristic(v)
+        # the alphas by falling m, then the beta; one reverse puts them in order
         listings: list[tuple] = []
-        mss = _mss_dim(s, v) if n >= 1 and not is_exc else None
-        if mss is not None:
-            dim = mss + chi
-            listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
         capped = length - 1 - top  # the cap's bound on ell1, less m^2*H.H/2
-        for m, hi, budget, pairing, dimension in table_runs(length, table):
+        for m, hi, budget, pairing, dimension in runs_down(s, n, length, n - 1):
             if pairing > threshold:
-                continue
+                break  # the pairing only grows as m falls
             lo = capped + m * m * half
             if lo < 0:
                 lo = 0
@@ -202,6 +191,11 @@ def _row_runs(s: Surface, n: int, lengths, h0: int, table, threshold: int) -> It
                 listings.append(
                     run_listing("alpha", dim, hilb_dim - dim, None, sensitive, m, lo, hi, budget)
                 )
+        mss = _mss_dim(s, v) if n >= 1 and not is_exc else None
+        if mss is not None:
+            dim = mss + chi
+            listings.append(("beta", dim, hilb_dim - dim, None, False, None, None, None))
+        listings.reverse()
         verdict = VERDICT_COMPONENTS if listings else VERDICT_EMPTY
         yield BNRuns(verdict, hilb_dim, v, is_exc, tuple(listings))
 

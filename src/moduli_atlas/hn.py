@@ -34,18 +34,19 @@ ell1 <= (b - 1)/2, and the Brill-Noether quotient cap ell2 <= cap gives
 ell1 >= b - cap.  Classifiers therefore work per m and only list types when
 they must report them one by one.
 
-The run table.  Of all this, only b and the pairing depend on c2, and each
-is c2 minus a constant of (H.H, n, m): m*q*H.H and (m^2 + q^2)*H.H/2.
-`run_table(s, n, m_max, c2_max)` holds those two constants and the
-equal-slope flag m == q once per m, and `table_runs(c2, table)` turns a
-table into the runs at one c2 <= c2_max as plain tuples (m, ell1_hi,
-budget, pairing, dimension): the one place where the budget, ell1_hi, the
-pairing and the dimension are computed, and the one shape of a run.  The
-run of such a tuple holds the types (m, ell1, budget - ell1) for
-0 <= ell1 <= ell1_hi.  A table leaves out the low m whose budget is
-negative even at c2_max.  `hn_runs` lists the tuples of one vector; the
-Brill-Noether classifier builds one table per twist n and reads it at
-every length of a row.
+The top-down scan.  Of all this, only b and the pairing depend on c2, and
+both through m*q*H.H: b = c2 - m*q*H.H, and the pairing is c2 - 2 -
+n^2*H.H/2 + m*q*H.H, since (m^2 + q^2)/2 = n^2/2 - m*q.  For m >= n/2,
+m*q*H.H only grows as m falls, so the budget only shrinks and the pairing
+only grows.  `runs_down(s, n, c2, m_max)` therefore walks m down from m_max
+and stops at the first negative budget, below which no m has a type; it
+yields plain tuples (m, ell1_hi, budget, pairing, dimension), the one place
+where the budget, ell1_hi, the pairing and the dimension are computed, and
+the one shape of a run.  The run of such a tuple holds the types (m, ell1,
+budget - ell1) for 0 <= ell1 <= ell1_hi.  A scan costs the runs it yields,
+plus one, not the width of the window.  `hn_runs` lists the tuples of one
+vector by rising m; the Brill-Noether classifier reads the scan at each
+length and stops it early, at the first pairing above its threshold.
 
 Listings.  What a classifier reports for one run is a plain tuple
 
@@ -81,8 +82,7 @@ __all__ = [
     "listing_size",
     "expand_listings",
     "make_hn_type",
-    "run_table",
-    "table_runs",
+    "runs_down",
     "hn_runs",
     "enumerate_hn_types",
     "dim_hn_stratum",
@@ -206,54 +206,40 @@ def make_hn_type(s: Surface, v: MukaiVector, m: int, ell1: int) -> HNType:
     return HNType(s, v, m, ell1, ell2)
 
 
-def run_table(
-    s: Surface, n: int, m_max: int, c2_max: int
-) -> list[tuple[int, int, int, bool]]:
-    """The per-m constants of every rank-2 vector of degree n and c2 <= c2_max.
+def runs_down(
+    s: Surface, n: int, c2: int, m_max: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The nonempty runs at degree n and second Chern number c2, by falling m.
 
-    One row (m, m*q*H.H, (m^2 + q^2)*H.H/2, m == q) per m, with q = n - m:
-    what the runs of one m share whatever c2 is (see `table_runs`).  The
-    rows run up to m_max, and down from it only as far as m*q*H.H <= c2_max:
-    for m >= n/2, m*q*H.H grows as m falls, so no lower m would pass.  A
-    table costs the rows it keeps, not the width of the window.
+    Yields (m, ell1_hi, budget, pairing, dimension) for m from m_max down to
+    ceil(n/2), and stops at the first m whose budget is negative: for
+    m >= n/2 the budget only shrinks as m falls (see the module docstring).
     """
     h2 = s.h_squared
     half = (n * n * h2) // 2  # m*q + (m^2 + q^2)/2 = n^2/2, since m + q = n
-    rows = []
-    for m in range(m_max, (n + 1) // 2 - 1, -1):
+    for m in range(m_max, (n - 1) // 2, -1):
         cross = m * (n - m) * h2
-        if cross > c2_max:
-            break
-        rows.append((m, cross, half - cross, 2 * m == n))
-    rows.reverse()
-    return rows
-
-
-def table_runs(c2: int, table) -> Iterator[tuple[int, int, int, int, int]]:
-    """The nonempty runs at second Chern number c2 over a `run_table`.
-
-    Yields (m, ell1_hi, budget, pairing, dimension) per m in table order:
-    this is where the per-m budget, pairing and dimension are computed.
-    """
-    for m, cross, square, equal in table:
         budget = c2 - cross
+        if budget < 0:
+            return
         # equal slope: only splits with ell1 < ell2
-        top = (budget - 1) // 2 if equal else budget
+        top = (budget - 1) // 2 if 2 * m == n else budget
         if top >= 0:
-            pairing = c2 - 2 - square
+            pairing = c2 - 2 - half + cross
             yield m, top, budget, pairing, 2 * budget - 2 + pairing
 
 
 def hn_runs(s: Surface, v: MukaiVector, m_max: int) -> list[tuple[int, int, int, int, int]]:
     """The nonempty runs of valid types on v, one per m in ceil(n/2) <= m <= m_max.
 
-    The `table_runs` tuples (m, ell1_hi, budget, pairing, dimension) over
-    `run_table`; expanding them in order gives enumerate_hn_types(s, v, m_max).
+    The `runs_down` tuples (m, ell1_hi, budget, pairing, dimension) by rising
+    m; expanding them in order gives enumerate_hn_types(s, v, m_max).
     """
     if v.rank != 2:
         raise ValueError("unsupported rank")
-    c2 = second_chern(s, v)
-    return list(table_runs(c2, run_table(s, v.deg, m_max, c2)))
+    runs = list(runs_down(s, v.deg, second_chern(s, v), m_max))
+    runs.reverse()
+    return runs
 
 
 def enumerate_hn_types(s: Surface, v: MukaiVector, m_max: int) -> list[HNType]:

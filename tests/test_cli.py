@@ -355,11 +355,11 @@ def test_verify_reports_discrepancies(capsys, monkeypatch):
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    honest = hn.table_runs
+    honest = hn.runs_down
     monkeypatch.setattr(
         bn,
-        "table_runs",
-        lambda c2, table: ((*run[:4], run[4] + 1) for run in honest(c2, table)),
+        "runs_down",
+        lambda *args: ((*run[:4], run[4] + 1) for run in honest(*args)),
     )
     code, out, _ = run(
         capsys, "verify", "--h2", "2", "--n-range", "2..3", "--N-range", "4..8",

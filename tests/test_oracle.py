@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_atlas.brill_noether import BNInput, BNRuns, bn_mukai_vector, bn_runs, classify_bn
-from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types, table_runs
+from moduli_atlas.hn import HNType, dim_hn_stratum, enumerate_hn_types, runs_down
 from moduli_atlas.lattice import MukaiVector, Surface
 from moduli_atlas.oracle import (
     DEFAULT_GRID,
@@ -107,16 +107,16 @@ def test_sweep_degenerate_grid_clean():
     assert sweep(GridSpec((2,), (0, 0), (0, 1)), 1) == []
 
 
-def bump_run_dimensions(c2, table):
-    """`table_runs` with every run's dimension one too high."""
-    return ((*run[:4], run[4] + 1) for run in table_runs(c2, table))
+def bump_run_dimensions(*args):
+    """`runs_down` with every run's dimension one too high."""
+    return ((*run[:4], run[4] + 1) for run in runs_down(*args))
 
 
 def test_sweep_detects_seeded_fault(monkeypatch):
     # corrupt the per-m run dimensions the classifier resolves at call time
     import moduli_atlas.brill_noether as bn
 
-    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
+    monkeypatch.setattr(bn, "runs_down", bump_run_dimensions)
     records = sweep(GridSpec((2,), (2, 3), (0, 8)), 1)
     assert records
     assert any(r.check == "bn_summary" for r in records)
@@ -184,20 +184,20 @@ def test_sweep_detects_seeded_enumeration_fault(monkeypatch):
 
 def test_sweep_detects_run_dimension_fault(monkeypatch):
     # the fault only the reported per-type dimensions show: bump the dimension
-    # of every run with m >= n, in every module that binds table_runs (hn_runs
+    # of every run with m >= n, in every module that binds runs_down (hn_runs
     # resolves it in hn at call time, for the oracle and torsion_free too)
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    honest = hn.table_runs
+    honest = hn.runs_down
 
-    def bumped(c2, table):
+    def bumped(s, n, c2, m_max):
         # for n >= 0, m >= n exactly when m*(n-m)*H.H <= 0, i.e. budget >= c2
-        for m, hi, budget, pairing, dimension in honest(c2, table):
+        for m, hi, budget, pairing, dimension in honest(s, n, c2, m_max):
             yield m, hi, budget, pairing, dimension + (budget >= c2)
 
     for module in (hn, bn):
-        monkeypatch.setattr(module, "table_runs", bumped)
+        monkeypatch.setattr(module, "runs_down", bumped)
     records = sweep(GridSpec((2, 4), (0, 6), (0, 30), 4), 1, -1)
     for threshold in (1, -1):
         checks = {r.check.split("(")[0].split("[")[0] for r in records if r.threshold == threshold}
@@ -254,10 +254,10 @@ def test_sweep_sees_a_torsion_free_pairing_fault(monkeypatch):
     # hn alone: only the per-type pairing check can see it
     import moduli_atlas.hn as hn
 
-    def bump_run_pairings(c2, table):
-        return ((*run[:3], run[3] + 1, run[4]) for run in table_runs(c2, table))
+    def bump_run_pairings(*args):
+        return ((*run[:3], run[3] + 1, run[4]) for run in runs_down(*args))
 
-    monkeypatch.setattr(hn, "table_runs", bump_run_pairings)
+    monkeypatch.setattr(hn, "runs_down", bump_run_pairings)
     grid = GridSpec((2, 4), (0, 4), (0, 12))
     records = sweep(grid, 1, -1)
     assert records
@@ -385,8 +385,8 @@ def test_sweep_orders_one_points_findings(monkeypatch):
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    monkeypatch.setattr(hn, "table_runs", bump_run_dimensions)
-    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
+    monkeypatch.setattr(hn, "runs_down", bump_run_dimensions)
+    monkeypatch.setattr(bn, "runs_down", bump_run_dimensions)
     records = sweep(GridSpec((2,), (3, 3), (6, 6)), 1, -1)
     groups = [
         (threshold, kind, len(list(group)))
@@ -406,7 +406,7 @@ def test_sweep_orders_one_points_findings(monkeypatch):
 def test_sweep_thresholds_concatenate_single_sweeps(monkeypatch):
     import moduli_atlas.brill_noether as bn
 
-    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
+    monkeypatch.setattr(bn, "runs_down", bump_run_dimensions)
     grid = GridSpec((2,), (2, 3), (0, 8))
     both = sweep(grid, 1, -1)
     assert {r.threshold for r in both} == {1, -1}
@@ -453,8 +453,8 @@ def seed_run_dimensions(monkeypatch):
     import moduli_atlas.brill_noether as bn
     import moduli_atlas.hn as hn
 
-    monkeypatch.setattr(hn, "table_runs", bump_run_dimensions)
-    monkeypatch.setattr(bn, "table_runs", bump_run_dimensions)
+    monkeypatch.setattr(hn, "runs_down", bump_run_dimensions)
+    monkeypatch.setattr(bn, "runs_down", bump_run_dimensions)
 
 
 def seed_cross_pairing(monkeypatch):

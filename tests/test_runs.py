@@ -107,22 +107,42 @@ def test_bn_alpha_listings_expand_to_brute_force_types(h2, threshold):
     assert listed > 0
 
 
-def test_scan_rows_build_one_run_table_per_twist(monkeypatch):
+def test_a_point_pulls_one_run_past_its_alpha_listings(monkeypatch):
+    # the pairing only grows as m falls, so a point stops the top-down scan
+    # at the first run above the threshold; near h^0 at n = 10**6 every m has
+    # a nonnegative budget, and a scan that went on would pull n/2 runs
     import moduli_atlas.brill_noether as bn
 
-    calls = []
-    honest = bn.run_table
+    honest = bn.runs_down
+    pulled = []
 
-    def counting(s, n, m_max, c2_max):
-        calls.append((s, n, m_max, c2_max))
-        return honest(s, n, m_max, c2_max)
+    def counting(*args):
+        for run in honest(*args):
+            pulled.append(run[0])
+            assert len(pulled) <= 100, "the scan went on past the pairing break"
+            yield run
 
-    monkeypatch.setattr(bn, "run_table", counting)
+    monkeypatch.setattr(bn, "runs_down", counting)
     s = Surface(2)
-    rows = list(scan_rows(s, (0, 4), (0, 12), 1))
-    assert len(rows) == 5 * 13
-    # each table reaches the row's largest length that is not the whole scheme
-    assert calls == [(s, n, n - 1, min(12, h0_line_bundle(s, n))) for n in range(5)]
+    n = 10**6
+    h0 = h0_line_bundle(s, n)
+    alphas = []
+    for length in (h0 - 10**7, h0 - 4 * 10**6, h0, 5):
+        pulled.clear()
+        listings = bn_runs(BNInput(s, n, length)).listings
+        alphas.append(sum(1 for listing in listings if listing[0] == "alpha"))
+        assert len(pulled) <= alphas[-1] + 1, length
+    assert alphas == [5, 2, 0, 0]
+
+
+@pytest.mark.parametrize("lengths", [list, iter, lambda xs: (x for x in xs)],
+                         ids=["list", "iterator", "generator"])
+def test_bn_row_reads_any_iterable_of_lengths(lengths):
+    # the checks read the lengths before the row classifies them: a one-shot
+    # iterable must still give a row per length
+    s = Surface(2)
+    expected = [bn_runs(BNInput(s, 3, length)) for length in (5, 6, 7)]
+    assert list(bn_row(s, 3, lengths([5, 6, 7]))) == expected
 
 
 def test_a_point_costs_its_runs_not_its_twist():
@@ -130,7 +150,7 @@ def test_a_point_costs_its_runs_not_its_twist():
     # nonempty; at N near h^0 every m has a nonnegative budget, but the
     # pairing N - 2 - (m^2 + q^2)*H.H/2 exceeds the threshold, so only the
     # beta component is listed; and N = 2*10**12 > h^0 is the whole scheme,
-    # which reads no run.  The run table must not hold the n/2 rows they skip
+    # which reads no run.  None of them may cost the n/2 values of m they skip
     import tracemalloc
 
     s = Surface(2)
